@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "src/common/strings.h"
+#include "src/common/telemetry.h"
 #include "src/math/vec.h"
 
 namespace openea::embedding {
@@ -25,6 +26,14 @@ std::vector<std::unordered_set<std::string>> AttributeValueSets(
     if (set.size() < cap) set.insert(kg.literals().Name(t.value));
   }
   return sets;
+}
+
+/// Adds one featurization call's encoder work to the `text/` counters.
+void CountLiteralWork(const text::LiteralEncoder& encoder) {
+  const text::LiteralEncoder::Counts& counts = encoder.counts();
+  telemetry::IncrCounter("text/literal_grams", counts.grams);
+  telemetry::IncrCounter("text/gram_memo_hits", counts.gram_hits);
+  telemetry::IncrCounter("text/word_memo_hits", counts.word_hits);
 }
 
 double JaccardOverlap(const std::unordered_set<std::string>& a,
@@ -141,6 +150,8 @@ math::Matrix AttributeCorrelationEmbedding::EntityAttributeVectors(
 math::Matrix BuildLiteralFeatures(const kg::KnowledgeGraph& kg,
                                   const text::PseudoWordEmbeddings& words,
                                   bool include_descriptions) {
+  telemetry::ScopedSpan span("literal_features");
+  text::LiteralEncoder encoder = words.Encoder();
   math::Matrix out(kg.NumEntities(), words.dim(), 0.0f);
   for (size_t e = 0; e < kg.NumEntities(); ++e) {
     std::string text;
@@ -152,39 +163,45 @@ math::Matrix BuildLiteralFeatures(const kg::KnowledgeGraph& kg,
     if (include_descriptions) {
       text += kg.Description(static_cast<kg::EntityId>(e));
     }
-    const auto vec = words.TextVector(text);
+    const auto vec = encoder.TextVector(text);
     std::copy(vec.begin(), vec.end(), out.Row(e).begin());
   }
+  CountLiteralWork(encoder);
   return out;
 }
 
 math::Matrix BuildDescriptionFeatures(
     const kg::KnowledgeGraph& kg, const text::PseudoWordEmbeddings& words) {
+  telemetry::ScopedSpan span("literal_features");
+  text::LiteralEncoder encoder = words.Encoder();
   math::Matrix out(kg.NumEntities(), words.dim(), 0.0f);
   for (size_t e = 0; e < kg.NumEntities(); ++e) {
     const std::string& desc = kg.Description(static_cast<kg::EntityId>(e));
     if (desc.empty()) continue;
-    const auto vec = words.TextVector(desc);
+    const auto vec = encoder.TextVector(desc);
     std::copy(vec.begin(), vec.end(), out.Row(e).begin());
   }
+  CountLiteralWork(encoder);
   return out;
 }
 
 math::Matrix BuildCharLiteralFeatures(const kg::KnowledgeGraph& kg,
                                       size_t dim, uint64_t seed) {
+  telemetry::ScopedSpan span("literal_features");
+  text::LiteralEncoder encoder(dim, seed);
   math::Matrix out(kg.NumEntities(), dim, 0.0f);
   for (size_t e = 0; e < kg.NumEntities(); ++e) {
     auto row = out.Row(e);
     size_t count = 0;
     for (const kg::AttributeTriple& t :
          kg.EntityAttributes(static_cast<kg::EntityId>(e))) {
-      const auto vec =
-          text::HashedNGramVector(kg.literals().Name(t.value), dim, seed);
+      const auto vec = encoder.NGramVector(kg.literals().Name(t.value));
       math::Axpy(1.0f, vec, row);
       ++count;
     }
     if (count > 0) math::NormalizeL2(row);
   }
+  CountLiteralWork(encoder);
   return out;
 }
 

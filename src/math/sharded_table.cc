@@ -600,8 +600,9 @@ void ShardedEmbeddingTable::PrefetchWorker() {
     const long page = ::sysconf(_SC_PAGESIZE);
     const size_t step = static_cast<size_t>(page) / sizeof(float);
     const size_t floats = lease->rows() * lease->stride();
-    volatile float sink = 0.0f;
-    for (size_t i = 0; i < floats; i += step) sink += lease->values()[i];
+    float sum = 0.0f;
+    for (size_t i = 0; i < floats; i += step) sum += lease->values()[i];
+    volatile float sink = sum;  // Keeps the loads from being elided.
     (void)sink;
   }
 }

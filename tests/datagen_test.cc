@@ -1,3 +1,4 @@
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -8,6 +9,14 @@
 #include "src/kg/graph_stats.h"
 
 namespace openea::datagen {
+
+// Prints a profile by its name. Without this, gtest prints the raw bytes
+// of the struct, which include heap pointers, so the parameterised test
+// names would change from one process to the next.
+void PrintTo(const HeterogeneityProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
 namespace {
 
 SyntheticKgConfig SmallConfig() {

@@ -98,7 +98,7 @@ TEST(ParallelForTest, AutoGrainJobObservesImbalanceGauge) {
   ParallelFor(0, 64, 0, [&](size_t lo, size_t hi) {
     ++chunks;
     volatile float sink = 0.0f;
-    for (size_t i = lo; i < hi; ++i) sink += static_cast<float>(i);
+    for (size_t i = lo; i < hi; ++i) sink = sink + static_cast<float>(i);
     (void)sink;
   });
   const telemetry::MetricsSnapshot snap = telemetry::SnapshotMetrics();
