@@ -80,64 +80,64 @@ int main(int argc, char** argv) {
   };
 
   run("dot", [&](const KernelTable& kt) {
-    sink += kt.dot(a.data(), b.data(), n);
+    sink = sink + kt.dot(a.data(), b.data(), n);
   });
   run("squared_l2", [&](const KernelTable& kt) {
-    sink += kt.squared_l2(a.data(), n);
+    sink = sink + kt.squared_l2(a.data(), n);
   });
-  run("l1", [&](const KernelTable& kt) { sink += kt.l1(a.data(), n); });
+  run("l1", [&](const KernelTable& kt) { sink = sink + kt.l1(a.data(), n); });
   run("squared_l2_distance", [&](const KernelTable& kt) {
-    sink += kt.squared_l2_distance(a.data(), b.data(), n);
+    sink = sink + kt.squared_l2_distance(a.data(), b.data(), n);
   });
   run("l1_distance", [&](const KernelTable& kt) {
-    sink += kt.l1_distance(a.data(), b.data(), n);
+    sink = sink + kt.l1_distance(a.data(), b.data(), n);
   });
   run("dot_rows", [&](const KernelTable& kt) {
     kt.dot_rows(a.data(), b.data(), n, out.data(), rows, n);
-    sink += out[0];
+    sink = sink + out[0];
   });
   run("squared_l2_distance_rows", [&](const KernelTable& kt) {
     kt.squared_l2_distance_rows(a.data(), b.data(), n, out.data(), rows, n);
-    sink += out[0];
+    sink = sink + out[0];
   });
   run("l1_distance_rows", [&](const KernelTable& kt) {
     kt.l1_distance_rows(a.data(), b.data(), n, out.data(), rows, n);
-    sink += out[0];
+    sink = sink + out[0];
   });
   run("axpy", [&](const KernelTable& kt) {
     kt.axpy(1e-9f, a.data(), y.data(), n);
-    sink += y[0];
+    sink = sink + y[0];
   });
   run("scale", [&](const KernelTable& kt) {
     kt.scale(1.0000001f, y.data(), n);
-    sink += y[0];
+    sink = sink + y[0];
   });
   run("add", [&](const KernelTable& kt) {
     kt.add(a.data(), b.data(), y.data(), n);
-    sink += y[0];
+    sink = sink + y[0];
   });
   run("sub", [&](const KernelTable& kt) {
     kt.sub(a.data(), b.data(), y.data(), n);
-    sink += y[0];
+    sink = sink + y[0];
   });
   run("hadamard", [&](const KernelTable& kt) {
     kt.hadamard(a.data(), b.data(), y.data(), n);
-    sink += y[0];
+    sink = sink + y[0];
   });
   // Small GEMM block: 32 x 512 x 32, the shape of one parallel row chunk.
   std::vector<float> gemm_out(32 * 32);
   run("gemm_block", [&](const KernelTable& kt) {
     kt.gemm_block(b.data(), n, b.data(), 32, gemm_out.data(), 32, 32, n,
                   32);
-    sink += gemm_out[0];
+    sink = sink + gemm_out[0];
   });
   run("adagrad_update", [&](const KernelTable& kt) {
     kt.adagrad_update(y.data(), acc.data(), a.data(), n, 1e-9f, 1e-8f);
-    sink += y[0];
+    sink = sink + y[0];
   });
   run("sgd_update", [&](const KernelTable& kt) {
     kt.sgd_update(y.data(), a.data(), n, 1e-9f);
-    sink += y[0];
+    sink = sink + y[0];
   });
   (void)sink;
   table.Print(std::cout);

@@ -43,10 +43,8 @@ std::string TransformEntityName(const std::string& canonical,
                                      : parts[i]);
   }
   // KG2-local uniquifier, unrelated to the KG1 index.
-  mapped.push_back("n" + std::to_string(
-                             (static_cast<uint64_t>(canonical_id) *
-                              2654435761ULL) %
-                             1000000ULL));
+  mapped.push_back(std::string("n").append(std::to_string(
+      (static_cast<uint64_t>(canonical_id) * 2654435761ULL) % 1000000ULL)));
   return profile.kg2_prefix + ":" + openea::Join(mapped, "_");
 }
 

@@ -50,7 +50,7 @@ Status BadLine(const std::string& path, const NumberedLine& line,
 }
 
 Status SaveKg(const KnowledgeGraph& kg, const std::string& dir, int index) {
-  const std::string suffix = "_" + std::to_string(index);
+  const std::string suffix = std::string("_").append(std::to_string(index));
   // Entity list first: triples alone would lose isolated entities.
   Status ent_status =
       WriteLines(dir + "/ent_ids" + suffix, kg.entities().names());
@@ -91,7 +91,7 @@ Status SaveKg(const KnowledgeGraph& kg, const std::string& dir, int index) {
 }
 
 Status LoadKg(const std::string& dir, int index, KnowledgeGraph* kg) {
-  const std::string suffix = "_" + std::to_string(index);
+  const std::string suffix = std::string("_").append(std::to_string(index));
   std::vector<NumberedLine> lines;
   // Optional entity list (absent in bare OpenEA-format datasets); loading
   // it first preserves the original id order.

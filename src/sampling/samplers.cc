@@ -7,6 +7,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/common/telemetry.h"
 #include "src/kg/alignment_util.h"
 #include "src/kg/graph_stats.h"
 
@@ -18,7 +19,6 @@ using kg::Alignment;
 using kg::AlignmentPair;
 using kg::DegreeDistribution;
 using kg::EntityId;
-using kg::KnowledgeGraph;
 
 /// Weighted sampling without replacement (Efraimidis–Spirakis exponential
 /// race): returns `k` indices from `candidates`, preferring large weights.
@@ -27,6 +27,7 @@ std::vector<EntityId> WeightedSampleWithoutReplacement(
     size_t k, Rng& rng) {
   OPENEA_CHECK_EQ(candidates.size(), weights.size());
   if (k >= candidates.size()) return candidates;
+  if (k == 0) return {};
   std::vector<std::pair<double, EntityId>> keyed;
   keyed.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -42,25 +43,10 @@ std::vector<EntityId> WeightedSampleWithoutReplacement(
   return out;
 }
 
-/// State of one side's dataset during IDS.
-struct SideState {
-  KnowledgeGraph graph;                // Current induced subgraph.
-  std::vector<EntityId> to_source;     // Current id -> source id.
-};
-
-SideState MakeSide(const KnowledgeGraph& source,
-                   const std::unordered_set<EntityId>& kept) {
-  SideState side;
-  std::vector<EntityId> old_to_new;
-  side.graph = source.InducedSubgraph(kept, &old_to_new);
-  side.to_source.assign(side.graph.NumEntities(), kg::kInvalidId);
-  for (size_t old_id = 0; old_id < old_to_new.size(); ++old_id) {
-    const EntityId new_id = old_to_new[old_id];
-    if (new_id != kg::kInvalidId) {
-      side.to_source[new_id] = static_cast<EntityId>(old_id);
-    }
-  }
-  return side;
+/// The kept set of `view`, as RestrictPair takes it.
+std::unordered_set<EntityId> KeptSet(const kg::MaskedGraph& view) {
+  const std::vector<EntityId> ids = view.KeptIds();
+  return {ids.begin(), ids.end()};
 }
 
 /// A deletion proposed by one side during an IDS round. `priority` is the
@@ -74,22 +60,27 @@ struct ProposedDeletion {
 
 /// One IDS deletion round on one side: proposes up to dsize(x, mu) entities
 /// per degree bucket x (Algorithm 1, line 7), sampling within a bucket with
-/// probability inversely related to PageRank (line 8).
-std::vector<ProposedDeletion> ProposeDeletions(const SideState& side,
+/// probability inversely related to PageRank (line 8). Adds the PageRank
+/// work, iterations x kept edges, to `*pagerank_edges`.
+std::vector<ProposedDeletion> ProposeDeletions(const kg::MaskedGraph& side,
                                                const DegreeDistribution& q,
                                                double mu,
                                                int pagerank_iterations,
-                                               Rng& rng) {
-  const KnowledgeGraph& g = side.graph;
-  const size_t n = g.NumEntities();
-  const DegreeDistribution p = kg::ComputeDegreeDistribution(g);
+                                               Rng& rng,
+                                               uint64_t* pagerank_edges) {
+  // Entity e below is the induced subgraph's id; live[e] its source id.
+  const std::vector<EntityId> live = side.KeptIds();
+  const size_t n = live.size();
+  const DegreeDistribution p = side.Distribution();
+  const kg::OutEdgeCsr edges = side.KeptOutEdges(live);
   const std::vector<double> pagerank =
-      kg::PageRank(g, 0.85, pagerank_iterations);
+      kg::PageRank(edges, 0.85, pagerank_iterations);
+  *pagerank_edges += static_cast<uint64_t>(std::max(pagerank_iterations, 0)) *
+                     edges.targets.size();
 
   std::unordered_map<size_t, std::vector<EntityId>> by_degree;
   for (size_t e = 0; e < n; ++e) {
-    by_degree[g.Degree(static_cast<EntityId>(e))].push_back(
-        static_cast<EntityId>(e));
+    by_degree[side.Degree(live[e])].push_back(static_cast<EntityId>(e));
   }
   std::vector<ProposedDeletion> proposals;
   for (auto& [degree, bucket] : by_degree) {
@@ -109,7 +100,7 @@ std::vector<ProposedDeletion> ProposeDeletions(const SideState& side,
     }
     for (EntityId e :
          WeightedSampleWithoutReplacement(bucket, weights, dsize, rng)) {
-      proposals.push_back({over, side.to_source[e]});
+      proposals.push_back({over, live[e]});
     }
   }
   return proposals;
@@ -172,31 +163,37 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
   const DegreeDistribution q1 = kg::ComputeDegreeDistribution(source.kg1);
   const DegreeDistribution q2 = kg::ComputeDegreeDistribution(source.kg2);
 
+  // Line 1: retain only entities in the reference alignment.
+  std::vector<bool> aligned1(source.kg1.NumEntities(), false);
+  std::vector<bool> aligned2(source.kg2.NumEntities(), false);
+  std::vector<EntityId> l2r(source.kg1.NumEntities(), kg::kInvalidId);
+  std::vector<EntityId> r2l(source.kg2.NumEntities(), kg::kInvalidId);
+  for (const AlignmentPair& ap : source.reference) {
+    aligned1[ap.left] = true;
+    aligned2[ap.right] = true;
+    l2r[ap.left] = ap.right;
+    r2l[ap.right] = ap.left;
+  }
+
   Rng rng(options.seed);
   DatasetPair best;
   double best_js = 1e9;
+  uint64_t rounds = 0, pagerank_edges = 0;
 
   for (int attempt = 0; attempt < options.max_retries; ++attempt) {
-    // Line 1: retain only entities in the reference alignment.
-    std::unordered_set<EntityId> kept1, kept2;
-    std::unordered_map<EntityId, EntityId> l2r, r2l;
-    for (const AlignmentPair& ap : source.reference) {
-      kept1.insert(ap.left);
-      kept2.insert(ap.right);
-      l2r[ap.left] = ap.right;
-      r2l[ap.right] = ap.left;
-    }
+    kg::MaskedGraph side1(source.kg1, aligned1);
+    kg::MaskedGraph side2(source.kg2, aligned2);
 
-    while (kept1.size() > target && kept2.size() > target) {
-      SideState side1 = MakeSide(source.kg1, kept1);
-      SideState side2 = MakeSide(source.kg2, kept2);
-      auto proposals = ProposeDeletions(side1, q1, options.mu,
-                                        options.pagerank_iterations, rng);
+    while (side1.NumKept() > target && side2.NumKept() > target) {
+      ++rounds;
+      auto proposals =
+          ProposeDeletions(side1, q1, options.mu, options.pagerank_iterations,
+                           rng, &pagerank_edges);
       // Side-2 proposals are mapped to their left counterparts so that an
       // aligned pair dies together (Algorithm 1, line 10).
       for (const ProposedDeletion& d :
-           ProposeDeletions(side2, q2, options.mu,
-                            options.pagerank_iterations, rng)) {
+           ProposeDeletions(side2, q2, options.mu, options.pagerank_iterations,
+                            rng, &pagerank_edges)) {
         proposals.push_back({d.priority, r2l[d.source_id]});
       }
       if (proposals.empty()) break;  // No progress possible.
@@ -216,7 +213,7 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
                 [](const ProposedDeletion& a, const ProposedDeletion& b) {
                   return a.priority > b.priority;
                 });
-      const size_t gap = kept1.size() - target;
+      const size_t gap = side1.NumKept() - target;
       // A round deletes at most mu entities (the base step size), so the
       // distribution re-equilibrates between rounds instead of collapsing.
       const size_t to_delete = std::min(
@@ -224,8 +221,8 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
            static_cast<size_t>(std::max(options.mu, 1.0))});
       for (size_t i = 0; i < to_delete; ++i) {
         const EntityId left = unique[i].source_id;
-        kept1.erase(left);
-        kept2.erase(l2r[left]);
+        side1.Remove(left);
+        side2.Remove(l2r[left]);
       }
     }
 
@@ -233,39 +230,33 @@ DatasetPair IterativeDegreeSampling(const DatasetPair& source,
     // Remove them (pairwise) as long as the sample stays within 2% of the
     // target size.
     const size_t min_size = target - target / 50;
-    for (int pass = 0; pass < 4 && kept1.size() > min_size; ++pass) {
-      SideState side1 = MakeSide(source.kg1, kept1);
-      SideState side2 = MakeSide(source.kg2, kept2);
+    for (int pass = 0; pass < 4 && side1.NumKept() > min_size; ++pass) {
       std::vector<EntityId> isolates;
-      for (size_t e = 0; e < side1.graph.NumEntities(); ++e) {
-        if (side1.graph.Degree(static_cast<EntityId>(e)) == 0) {
-          isolates.push_back(side1.to_source[e]);
-        }
+      for (EntityId e : side1.KeptIds()) {
+        if (side1.Degree(e) == 0) isolates.push_back(e);
       }
-      for (size_t e = 0; e < side2.graph.NumEntities(); ++e) {
-        if (side2.graph.Degree(static_cast<EntityId>(e)) == 0) {
-          isolates.push_back(r2l[side2.to_source[e]]);
-        }
+      for (EntityId e : side2.KeptIds()) {
+        if (side2.Degree(e) == 0) isolates.push_back(r2l[e]);
       }
       if (isolates.empty()) break;
       for (EntityId left : isolates) {
-        if (kept1.size() <= min_size) break;
-        if (kept1.erase(left) > 0) kept2.erase(l2r[left]);
+        if (side1.NumKept() <= min_size) break;
+        if (side1.Remove(left)) side2.Remove(l2r[left]);
       }
     }
 
-    DatasetPair sample = RestrictPair(source, kept1, kept2);
-    const double js1 = kg::JensenShannonDivergence(
-        q1, kg::ComputeDegreeDistribution(sample.kg1));
-    const double js2 = kg::JensenShannonDivergence(
-        q2, kg::ComputeDegreeDistribution(sample.kg2));
-    const double worst = std::max(js1, js2);
+    // Line 12; only an attempt that beats the best so far is materialized.
+    const double worst =
+        std::max(kg::JensenShannonDivergence(q1, side1.Distribution()),
+                 kg::JensenShannonDivergence(q2, side2.Distribution()));
     if (worst < best_js) {
       best_js = worst;
-      best = std::move(sample);
+      best = RestrictPair(source, KeptSet(side1), KeptSet(side2));
     }
     if (best_js <= options.epsilon) break;  // Line 12 condition met.
   }
+  telemetry::IncrCounter("sampling/ids_rounds", rounds);
+  telemetry::IncrCounter("sampling/ids_pagerank_edges", pagerank_edges);
   return best;
 }
 
@@ -299,20 +290,11 @@ DatasetPair PageRankSampling(const DatasetPair& source, size_t target_size,
     candidates.push_back(left);
     weights.push_back(pr[left]);
   }
-  // Reuse the exponential-race sampler via a local copy of its logic: take
-  // the target_size highest-keyed entities.
-  std::vector<std::pair<double, EntityId>> keyed;
-  keyed.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const double u = std::max(rng.NextDouble(), 1e-300);
-    keyed.emplace_back(-std::log(u) / std::max(weights[i], 1e-12),
-                       candidates[i]);
-  }
-  std::sort(keyed.begin(), keyed.end());
   std::unordered_set<EntityId> kept1, kept2;
-  for (size_t i = 0; i < keyed.size() && kept1.size() < target_size; ++i) {
-    kept1.insert(keyed[i].second);
-    kept2.insert(l2r[keyed[i].second]);
+  for (EntityId left : WeightedSampleWithoutReplacement(
+           candidates, weights, target_size, rng)) {
+    kept1.insert(left);
+    kept2.insert(l2r[left]);
   }
   return RestrictPair(source, kept1, kept2);
 }
@@ -332,20 +314,15 @@ DatasetPair DensifyPair(const DatasetPair& source, double density_factor,
   std::unordered_map<EntityId, EntityId> l2r;
   for (const AlignmentPair& ap : source.reference) l2r[ap.left] = ap.right;
 
-  DatasetPair current = RestrictPair(source, kept1, kept2);
+  kg::MaskedGraph side1(source.kg1,
+                        std::vector<bool>(source.kg1.NumEntities(), true));
   int guard = 0;
-  while (current.kg1.AverageDegree() < target_degree && guard++ < 60) {
-    // Collect low-degree aligned entities (by current ids mapped back to
-    // source ids via name lookup is brittle; instead recompute on the
-    // source-restricted view each round using kept sets).
-    std::vector<EntityId> old_to_new1;
-    KnowledgeGraph g1 = source.kg1.InducedSubgraph(kept1, &old_to_new1);
+  while (side1.AverageDegree() < target_degree && guard++ < 60) {
+    // Low-degree kept entities, in kept1's iteration order: the shuffle
+    // below depends on it.
     std::vector<EntityId> candidates;
     for (EntityId e : kept1) {
-      const EntityId cur = old_to_new1[e];
-      if (cur != kg::kInvalidId && g1.Degree(cur) <= max_degree_to_delete) {
-        candidates.push_back(e);
-      }
+      if (side1.Degree(e) <= max_degree_to_delete) candidates.push_back(e);
     }
     if (candidates.empty()) break;
     rng.Shuffle(candidates);
@@ -354,13 +331,12 @@ DatasetPair DensifyPair(const DatasetPair& source, double density_factor,
     for (size_t i = 0; i < batch && i < candidates.size(); ++i) {
       const EntityId e = candidates[i];
       kept1.erase(e);
+      side1.Remove(e);
       auto it = l2r.find(e);
       if (it != l2r.end()) kept2.erase(it->second);
     }
-    current = RestrictPair(source, kept1, kept2);
   }
-  current.name = source.name;
-  return current;
+  return RestrictPair(source, kept1, kept2);
 }
 
 SampleQuality EvaluateSampleQuality(const DatasetPair& sample,

@@ -51,9 +51,10 @@ datagen::DatasetPair PageRankSampling(const datagen::DatasetPair& source,
                                       size_t target_size, uint64_t seed);
 
 /// Produces the paper's V2 (dense) variant of a source pair: randomly
-/// deletes low-degree (d <= `max_degree_to_delete`) aligned entities until
-/// the average degree of KG1 reaches `density_factor` times its original
-/// value (paper Sect. 3.2 uses a factor of 2).
+/// deletes low-degree (d <= `max_degree_to_delete`) KG1 entities, each
+/// aligned one with its KG2 counterpart, until the average degree of KG1
+/// reaches `density_factor` times its original value (paper Sect. 3.2 uses
+/// a factor of 2).
 datagen::DatasetPair DensifyPair(const datagen::DatasetPair& source,
                                  double density_factor, uint64_t seed,
                                  size_t max_degree_to_delete = 5);

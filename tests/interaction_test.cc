@@ -18,8 +18,12 @@ struct Fixture {
   kg::Alignment seeds;
 
   Fixture() {
-    for (int i = 0; i < 4; ++i) kg1.AddEntity("a" + std::to_string(i));
-    for (int i = 0; i < 5; ++i) kg2.AddEntity("b" + std::to_string(i));
+    for (int i = 0; i < 4; ++i) {
+      kg1.AddEntity(std::string("a").append(std::to_string(i)));
+    }
+    for (int i = 0; i < 5; ++i) {
+      kg2.AddEntity(std::string("b").append(std::to_string(i)));
+    }
     const auto r1 = kg1.AddRelation("r");
     const auto r2 = kg2.AddRelation("s");
     kg1.AddTriple(0, r1, 1);

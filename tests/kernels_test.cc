@@ -230,7 +230,9 @@ TEST(KernelDispatchTest, ActiveTableMatchesReportedBackend) {
   const char* name = BackendName(active);
   EXPECT_TRUE(std::strcmp(name, "scalar") == 0 ||
               std::strcmp(name, "avx2") == 0);
-  if (active == Backend::kAvx2) EXPECT_TRUE(Avx2Supported());
+  if (active == Backend::kAvx2) {
+    EXPECT_TRUE(Avx2Supported());
+  }
 }
 
 TEST(KernelDispatchTest, ForcingUnavailableBackendIsRejected) {
