@@ -25,9 +25,12 @@ int main(int argc, char** argv) {
   bench::BeginRun(args);
 
   // Problem sizes scale with the preset so --scale=large stresses the
-  // memory argument (the dense path's N x N floats vs streaming O(N*k)).
+  // memory argument (the dense path's N x N floats vs streaming O(N*k));
+  // --sizes=csv replaces the default sweep.
   const size_t base = args.scale.sample_entities;
-  const std::vector<size_t> sizes = {base, base * 2, base * 4};
+  const std::vector<size_t> sizes =
+      args.sizes.empty() ? std::vector<size_t>{base, base * 2, base * 4}
+                         : args.sizes;
   const size_t dim = 32;
   constexpr int kReps = 3;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include <cmath>
-
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
@@ -28,30 +26,40 @@ namespace detail {
 void MetricRowBlock(DistanceMetric metric, const float* a, float na,
                     const float* b, size_t ldb, const float* tgt_norms,
                     float* out, size_t count, size_t n) {
+  MetricRowScan(metric, a, na, b, ldb, tgt_norms, out, count, n, {}, nullptr);
+}
+
+void MetricRowScan(DistanceMetric metric, const float* a, float na,
+                   const float* b, size_t ldb, const float* tgt_norms,
+                   float* out, size_t count, size_t n,
+                   math::kernels::ScanEpilogue scan,
+                   math::kernels::ScanCounts* counts) {
+  using math::kernels::CellFinish;
   const math::kernels::KernelTable& kt = math::kernels::Active();
   switch (metric) {
     case DistanceMetric::kCosine:
-      // Same guard and final expression as math::CosineSimilarity; the
-      // norms are pure per-row functions, so caching them is bitwise
-      // equivalent to recomputing per pair.
+      // Same guard and final expression as math::CosineSimilarity (the
+      // epilogue's kCosine finish); the norms are pure per-row functions,
+      // so caching them is bitwise equivalent to recomputing per pair.
       kt.dot_rows(a, b, ldb, out, count, n);
-      for (size_t r = 0; r < count; ++r) {
-        const float nb = tgt_norms[r];
-        out[r] = (na < 1e-12f || nb < 1e-12f) ? 0.0f : out[r] / (na * nb);
-      }
+      scan.finish = CellFinish::kCosine;
+      scan.na = na;
+      scan.tgt_norms = tgt_norms;
       break;
     case DistanceMetric::kEuclidean:
       kt.squared_l2_distance_rows(a, b, ldb, out, count, n);
-      for (size_t r = 0; r < count; ++r) out[r] = -std::sqrt(out[r]);
+      scan.finish = CellFinish::kNegSqrt;
       break;
     case DistanceMetric::kManhattan:
       kt.l1_distance_rows(a, b, ldb, out, count, n);
-      for (size_t r = 0; r < count; ++r) out[r] = -out[r];
+      scan.finish = CellFinish::kNegate;
       break;
     case DistanceMetric::kInner:
       kt.dot_rows(a, b, ldb, out, count, n);
+      scan.finish = CellFinish::kNone;
       break;
   }
+  kt.scan_epilogue(scan, out, count, counts);
 }
 
 }  // namespace detail

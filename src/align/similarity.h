@@ -1,6 +1,7 @@
 #ifndef OPENEA_ALIGN_SIMILARITY_H_
 #define OPENEA_ALIGN_SIMILARITY_H_
 
+#include "src/math/kernels.h"
 #include "src/math/matrix.h"
 
 namespace openea::align {
@@ -40,6 +41,19 @@ namespace detail {
 void MetricRowBlock(DistanceMetric metric, const float* a, float na,
                     const float* b, size_t ldb, const float* tgt_norms,
                     float* out, size_t count, size_t n);
+
+/// MetricRowBlock plus the rest of a scan tile: `scan` carries the CSLS,
+/// true-column and top-k admission fields of the dispatched scan epilogue
+/// (src/math/kernels.h; its finish, na and tgt_norms are set here from the
+/// other arguments), and `counts` receives the NaN, greater and tie tallies.
+/// out[0..count) ends up holding the (CSLS-adjusted) similarities.
+/// MetricRowBlock is this call with an empty `scan` and no counts, so the
+/// two produce the same cell floats.
+void MetricRowScan(DistanceMetric metric, const float* a, float na,
+                   const float* b, size_t ldb, const float* tgt_norms,
+                   float* out, size_t count, size_t n,
+                   math::kernels::ScanEpilogue scan,
+                   math::kernels::ScanCounts* counts);
 
 }  // namespace detail
 

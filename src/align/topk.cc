@@ -51,6 +51,65 @@ inline float CslsAdjust(float sim, float psi_src, float psi_tgt) {
 /// order as this engine.
 using detail::TopKInsert;
 
+/// The top-k list of the row being scanned, reached from the scan
+/// epilogue's `offer` hook.
+struct RowSelection {
+  TopKEntry* ents = nullptr;
+  size_t* count = nullptr;
+  size_t k = 0;
+  size_t first_col = 0;  // Column of the current tile's first cell.
+  math::kernels::ScanBound bound;
+};
+
+/// The epilogue offers a cell only while the list is short or when the
+/// cell is strictly greater than the k-th kept value. That is exactly when
+/// TopKInsert keeps it: a scan visits columns in ascending order, so a cell
+/// that ties the k-th value always has the larger column and loses.
+void OfferToRow(void* ctx, float v, size_t pos) {
+  RowSelection& sel = *static_cast<RowSelection*>(ctx);
+  TopKInsert(sel.ents, *sel.count, sel.k, v,
+             static_cast<int>(sel.first_col + pos));
+  if (*sel.count == sel.k) sel.bound = {sel.ents[sel.k - 1].value, false};
+}
+
+/// Scans one source row `a` (norm `na`) against `cols` target rows starting
+/// at `b`, `ldb` floats apart, which are columns first_col.. of the whole
+/// target set. Each col_block tile is one MetricRowScan call: the shared
+/// cell kernel plus the dispatched scan epilogue. `norms` and `psi_tgt`
+/// (null when unused) are indexed like the scanned rows. `scan` carries the
+/// row's CSLS and true-column fields; `sel` (null when k = 0) the row's
+/// top-k list. Tallies go to `counts`; returns the number of tiles.
+uint64_t ScanRowTiles(DistanceMetric metric, const float* a, float na,
+                      size_t dim, const float* b, size_t ldb,
+                      const float* norms, const float* psi_tgt, size_t cols,
+                      size_t first_col, size_t col_block, int true_col,
+                      math::kernels::ScanEpilogue scan, RowSelection* sel,
+                      float* cell_buf, math::kernels::ScanCounts* counts) {
+  if (sel != nullptr) {
+    sel->bound = *sel->count < sel->k
+                     ? math::kernels::ScanBound{}
+                     : math::kernels::ScanBound{sel->ents[sel->k - 1].value,
+                                                false};
+    scan.bound = &sel->bound;
+    scan.offer = OfferToRow;
+    scan.ctx = sel;
+  }
+  uint64_t tiles = 0;
+  for (size_t jb = 0; jb < cols; jb += col_block) {
+    const size_t je = std::min(cols, jb + col_block);
+    const size_t col = first_col + jb;
+    ++tiles;
+    if (sel != nullptr) sel->first_col = col;
+    scan.psi_tgt = psi_tgt != nullptr ? psi_tgt + jb : nullptr;
+    scan.true_pos = true_col >= 0 ? static_cast<size_t>(true_col) - col
+                                  : static_cast<size_t>(-1);
+    detail::MetricRowScan(metric, a, na, b + jb * ldb, ldb,
+                          norms != nullptr ? norms + jb : nullptr, cell_buf,
+                          je - jb, dim, scan, counts);
+  }
+  return tiles;
+}
+
 /// Sorted-ascending bounded insert of a bare value (the k-largest multiset
 /// is uniquely defined, so value-only buffers merge deterministically in
 /// any order). vals[0] is the current worst kept value.
@@ -265,36 +324,23 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
           result.true_sim[i] = true_val;
         }
         size_t count = 0;
-        uint32_t greater = 0, ties = 0;
-        for (size_t jb = 0; jb < cols; jb += col_block) {
-          const size_t je = std::min(cols, jb + col_block);
-          ++local_blocks;
-          // One batched kernel call per column tile.
-          detail::MetricRowBlock(
-              options.metric, a.data(), na, tgt.Row(jb).data(), tgt.cols(),
-              tgt_norms.empty() ? nullptr : tgt_norms.data() + jb,
-              cell_buf.data(), je - jb, tgt.cols());
-          for (size_t j = jb; j < je; ++j) {
-            const float s = cell_buf[j - jb];
-            const float v =
-                options.csls ? CslsAdjust(s, psi_i, psi_tgt[j]) : s;
-            if (std::isnan(v)) {
-              ++local_nan;
-              continue;
-            }
-            if (options.k > 0) {
-              TopKInsert(heap.data(), count, options.k, v,
-                         static_cast<int>(j));
-            }
-            if (has_true && static_cast<int>(j) != true_col) {
-              if (v > true_val) {
-                ++greater;
-              } else if (v == true_val) {
-                ++ties;
-              }
-            }
-          }
-        }
+        RowSelection sel;
+        sel.ents = heap.data();
+        sel.count = &count;
+        sel.k = options.k;
+        math::kernels::ScanEpilogue scan;
+        scan.psi_src = psi_i;
+        scan.count_true = has_true;
+        scan.true_val = true_val;
+        math::kernels::ScanCounts tally;
+        local_blocks += ScanRowTiles(
+            options.metric, a.data(), na, tgt.cols(), tgt.Data().data(),
+            tgt.cols(), tgt_norms.empty() ? nullptr : tgt_norms.data(),
+            options.csls ? psi_tgt.data() : nullptr, cols, 0, col_block,
+            true_col, scan, options.k > 0 ? &sel : nullptr, cell_buf.data(),
+            &tally);
+        local_nan += tally.nan;
+        uint32_t greater = tally.greater, ties = tally.ties;
         if (options.k > 0) {
           TopKEntry* out = result.entries.data() + i * options.k;
           for (size_t t = 0; t < count; ++t) out[t] = heap[t];
@@ -439,39 +485,23 @@ TopKResult ShardedTopK(const math::Matrix& src,
           const float na = src_norms.empty() ? 0.0f : src_norms[i];
           const int true_col = has_true ? options.true_cols[i] : -1;
           const float true_val = has_true ? result.true_sim[i] : 0.0f;
-          size_t& count = counts[i];
-          TopKEntry* ents =
-              options.k > 0 ? result.entries.data() + i * options.k : nullptr;
-          uint32_t greater = 0, ties = 0;
-          for (size_t jo = 0; jo < bank_rows; jo += col_block) {
-            const size_t je = std::min(bank_rows, jo + col_block);
-            ++local_blocks;
-            detail::MetricRowBlock(
-                options.metric, a.data(), na, lease->values() + jo * stride,
-                stride, tgt_norms.empty() ? nullptr : tgt_norms.data() + first + jo,
-                cell_buf.data(), je - jo, dim);
-            for (size_t j = jo; j < je; ++j) {
-              const float v = cell_buf[j - jo];
-              if (std::isnan(v)) {
-                ++local_nan;
-                continue;
-              }
-              const int col = static_cast<int>(first + j);
-              if (options.k > 0) {
-                TopKInsert(ents, count, options.k, v, col);
-              }
-              if (has_true && col != true_col) {
-                if (v > true_val) {
-                  ++greater;
-                } else if (v == true_val) {
-                  ++ties;
-                }
-              }
-            }
-          }
+          RowSelection sel;
+          sel.ents = result.entries.data() + i * options.k;
+          sel.count = &counts[i];
+          sel.k = options.k;
+          math::kernels::ScanEpilogue scan;
+          scan.count_true = has_true;
+          scan.true_val = true_val;
+          math::kernels::ScanCounts tally;
+          local_blocks += ScanRowTiles(
+              options.metric, a.data(), na, dim, lease->values(), stride,
+              tgt_norms.empty() ? nullptr : tgt_norms.data() + first, nullptr,
+              bank_rows, first, col_block, true_col, scan,
+              options.k > 0 ? &sel : nullptr, cell_buf.data(), &tally);
+          local_nan += tally.nan;
           if (has_true) {
-            result.num_greater[i] += greater;
-            result.num_ties[i] += ties;
+            result.num_greater[i] += tally.greater;
+            result.num_ties[i] += tally.ties;
           }
         }
         if (local_nan > 0) {

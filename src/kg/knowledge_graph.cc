@@ -50,18 +50,33 @@ KnowledgeGraph KnowledgeGraph::InducedSubgraph(
       out.SetDescription(new_id, descriptions_[old_id]);
     }
   }
+  // Relation, attribute and literal names are interned on first use, in
+  // triple order. Names are unique within a vocabulary, so an old id maps
+  // to exactly one new id; the tables below assign the ids GetOrAdd would,
+  // but hash each name once instead of once per triple.
+  std::vector<int32_t> relation_ids(relations_.size(), kInvalidId);
+  std::vector<int32_t> attribute_ids(attributes_.size(), kInvalidId);
+  std::vector<int32_t> literal_ids(literals_.size(), kInvalidId);
+  auto intern = [](std::vector<int32_t>& ids, int32_t old_id,
+                   const Vocab& from, Vocab& to) {
+    int32_t& id = ids[static_cast<size_t>(old_id)];
+    if (id == kInvalidId) id = to.GetOrAdd(from.Name(old_id));
+    return id;
+  };
   for (const Triple& t : triples_) {
     const EntityId h = remap[t.head];
     const EntityId tl = remap[t.tail];
     if (h == kInvalidId || tl == kInvalidId) continue;
-    const RelationId r = out.AddRelation(relations_.Name(t.relation));
-    out.AddTriple(h, r, tl);
+    out.AddTriple(h, intern(relation_ids, t.relation, relations_,
+                            out.relations_),
+                  tl);
   }
   for (const AttributeTriple& t : attr_triples_) {
     const EntityId e = remap[t.entity];
     if (e == kInvalidId) continue;
-    const AttributeId a = out.AddAttribute(attributes_.Name(t.attribute));
-    const LiteralId v = out.AddLiteral(literals_.Name(t.value));
+    const AttributeId a =
+        intern(attribute_ids, t.attribute, attributes_, out.attributes_);
+    const LiteralId v = intern(literal_ids, t.value, literals_, out.literals_);
     out.AddAttributeTriple(e, a, v);
   }
   out.BuildIndex();

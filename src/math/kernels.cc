@@ -65,6 +65,56 @@ void ScalarL1DistanceRows(const float* a, const float* b, size_t ldb,
   }
 }
 
+// The cell kernel's finishing loops and the top-k scan's per-cell loop, in
+// their historical statement order (so forced-scalar results keep every
+// bit). The admission check before `offer` only skips cells TopKInsert
+// would reject (DESIGN.md, "Streaming top-k similarity").
+void ScalarScanEpilogue(const ScanEpilogue& tile, float* cells, size_t count,
+                        ScanCounts* counts) {
+  switch (tile.finish) {
+    case CellFinish::kCosine:
+      for (size_t r = 0; r < count; ++r) {
+        const float nb = tile.tgt_norms[r];
+        cells[r] = (tile.na < 1e-12f || nb < 1e-12f)
+                       ? 0.0f
+                       : cells[r] / (tile.na * nb);
+      }
+      break;
+    case CellFinish::kNegSqrt:
+      for (size_t r = 0; r < count; ++r) cells[r] = -std::sqrt(cells[r]);
+      break;
+    case CellFinish::kNegate:
+      for (size_t r = 0; r < count; ++r) cells[r] = -cells[r];
+      break;
+    case CellFinish::kNone:
+      break;
+  }
+  if (tile.psi_tgt != nullptr) {
+    for (size_t j = 0; j < count; ++j) {
+      cells[j] = 2.0f * cells[j] - tile.psi_src - tile.psi_tgt[j];
+    }
+  }
+  if (counts == nullptr) return;
+  for (size_t j = 0; j < count; ++j) {
+    const float v = cells[j];
+    if (std::isnan(v)) {
+      ++counts->nan;
+      continue;
+    }
+    if (tile.offer != nullptr &&
+        (tile.bound->open || v > tile.bound->value)) {
+      tile.offer(tile.ctx, v, j);
+    }
+    if (tile.count_true && j != tile.true_pos) {
+      if (v > tile.true_val) {
+        ++counts->greater;
+      } else if (v == tile.true_val) {
+        ++counts->ties;
+      }
+    }
+  }
+}
+
 void ScalarAxpy(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -121,6 +171,7 @@ constexpr KernelTable kScalarTable = {
     /*dot_rows=*/ScalarDotRows,
     /*squared_l2_distance_rows=*/ScalarSquaredL2DistanceRows,
     /*l1_distance_rows=*/ScalarL1DistanceRows,
+    /*scan_epilogue=*/ScalarScanEpilogue,
     /*axpy=*/ScalarAxpy,
     /*scale=*/ScalarScale,
     /*add=*/ScalarAdd,

@@ -2,6 +2,7 @@
 #define OPENEA_MATH_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace openea::math::kernels {
 
@@ -34,6 +35,52 @@ enum class Backend {
   kAvx2 = 1,
 };
 
+/// How `scan_epilogue` turns a raw row-kernel value into a similarity
+/// (src/align/similarity.h): cosine divides the dot product by the two L2
+/// norms (0 when either is below 1e-12), Euclidean negates the square root
+/// of the squared distance, Manhattan negates the L1 distance, and the
+/// inner product is used as-is.
+enum class CellFinish { kNone, kCosine, kNegSqrt, kNegate };
+
+/// Top-k admission bound of one scanned row. While `open` (fewer than k
+/// entries kept) every non-NaN cell is offered; after that only cells
+/// strictly greater than `value`, the k-th kept value.
+struct ScanBound {
+  float value = 0.0f;
+  bool open = true;
+};
+
+/// One tile of a similarity scan: `count` consecutive cells of one source
+/// row (DESIGN.md, "Streaming top-k similarity").
+struct ScanEpilogue {
+  CellFinish finish = CellFinish::kNone;
+  /// kCosine: the source row's L2 norm and one target norm per cell.
+  float na = 0.0f;
+  const float* tgt_norms = nullptr;
+  /// CSLS when non-null: cell = 2 * cell - psi_src - psi_tgt[cell].
+  const float* psi_tgt = nullptr;
+  float psi_src = 0.0f;
+  /// Counts cells greater than and equal to `true_val`, skipping the cell
+  /// at `true_pos` (a position past the tile excludes none).
+  bool count_true = false;
+  float true_val = 0.0f;
+  size_t true_pos = static_cast<size_t>(-1);
+  /// Top-k admission: when `offer` is set, every non-NaN cell that passes
+  /// `*bound` is handed to `offer(ctx, value, position)` in ascending
+  /// position order. `offer` may tighten `*bound`; the epilogue rereads it
+  /// before each group of cells.
+  const ScanBound* bound = nullptr;
+  void (*offer)(void* ctx, float value, size_t pos) = nullptr;
+  void* ctx = nullptr;
+};
+
+/// Per-row tallies of `scan_epilogue`, accumulated (+=) across tiles.
+struct ScanCounts {
+  uint64_t nan = 0;      // NaN cells (after finish and CSLS).
+  uint32_t greater = 0;  // Cells > true_val.
+  uint32_t ties = 0;     // Cells == true_val.
+};
+
 /// The dispatch table. All pointers are non-null in every table; spans are
 /// passed as raw pointer + length because the table is the lowest layer
 /// (std::span costs nothing but adds no information here). No alignment
@@ -63,6 +110,16 @@ struct KernelTable {
                                    float* out, size_t rows, size_t n);
   void (*l1_distance_rows)(const float* a, const float* b, size_t ldb,
                            float* out, size_t rows, size_t n);
+
+  // -- Scan epilogue over cells[0..count) from a *_rows kernel: finish the
+  //    metric, apply CSLS, then (when `counts` is non-null) count NaN,
+  //    greater and tie cells and offer admitted cells to the top-k. Every
+  //    float is the same IEEE operation sequence in both backends (multiply
+  //    then subtract for CSLS, never an FMA), so the finished cells and the
+  //    counts are bit-identical across backends given identical input
+  //    cells. --------------------------------------------------------------
+  void (*scan_epilogue)(const ScanEpilogue& tile, float* cells, size_t count,
+                        ScanCounts* counts);
 
   // -- Elementwise (bit-identical across backends). ------------------------
   /// y[i] += alpha * x[i].

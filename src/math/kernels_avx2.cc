@@ -9,7 +9,8 @@
 // an FMA contraction — so they are bit-identical to scalar. Reduction
 // kernels use 8-lane FMA accumulators and reassociate the sum; they may
 // differ from scalar in the last ULPs and are tied to it by the
-// ULP-tolerance suite in tests/kernels_test.cc.
+// ULP-tolerance suite in tests/kernels_test.cc. The scan epilogue is
+// elementwise per cell and bit-identical to scalar as well.
 
 #ifdef OPENEA_HAVE_AVX2_KERNELS
 
@@ -34,41 +35,166 @@ inline float HorizontalSum(__m256 v) {
   return _mm_cvtss_f32(sum);
 }
 
+/// Eight horizontal sums at once: lane r of the result is HorizontalSum(v[r])
+/// bit for bit. HorizontalSum adds s_l = v_l + v_{l+4} (lo + hi), then
+/// (s0 + s2, s1 + s3), then (s0 + s2) + (s1 + s3); the transposes below
+/// line the same operands up, so every add sees exactly the values
+/// HorizontalSum does.
+inline __m256 HorizontalSum8(const __m256 v[kLanes]) {
+  // t_k = [s(v_k) | s(v_{k+4})], each half holding s0..s3 of one row.
+  __m256 t[4];
+  for (int k = 0; k < 4; ++k) {
+    t[k] = _mm256_add_ps(_mm256_permute2f128_ps(v[k], v[k + 4], 0x20),
+                         _mm256_permute2f128_ps(v[k], v[k + 4], 0x31));
+  }
+  // u0 = [s0+s2, s1+s3 of rows 0, 1 | rows 4, 5]; u1 likewise rows 2, 3, 6, 7.
+  const __m256 u0 = _mm256_add_ps(_mm256_shuffle_ps(t[0], t[1], 0x44),
+                                  _mm256_shuffle_ps(t[0], t[1], 0xEE));
+  const __m256 u1 = _mm256_add_ps(_mm256_shuffle_ps(t[2], t[3], 0x44),
+                                  _mm256_shuffle_ps(t[2], t[3], 0xEE));
+  // Lane r: (s0 + s2) + (s1 + s3) of row r.
+  return _mm256_add_ps(_mm256_shuffle_ps(u0, u1, 0x88),
+                       _mm256_shuffle_ps(u0, u1, 0xDD));
+}
+
 inline __m256 Abs(__m256 v) {
   const __m256 sign_mask = _mm256_set1_ps(-0.0f);
   return _mm256_andnot_ps(sign_mask, v);
 }
 
+/// First element of the scalar tail: the 8-lane loops cover every full
+/// 8-float block of a row.
+inline size_t TailStart(size_t n) { return n - n % kLanes; }
+
 // ---------------------------------------------------------------------------
-// Reductions: 4 independent 8-lane accumulators (hides FMA latency at the
-// library's d=32..512 row lengths), folded pairwise, then a fixed-order
-// scalar tail added after the horizontal sum.
+// Reductions: independent 8-lane accumulators (4 for dot — hiding FMA
+// latency at the library's d=32..512 row lengths — and 2 for the squared
+// distance), folded pairwise into one vector (`Lanes`), then a horizontal
+// sum and a fixed-order scalar tail (`Tail`). A cell is
+// Tail(HorizontalSum(Lanes)); the *_rows kernels compute the same Lanes per
+// row, sum eight rows at a time with HorizontalSum8 and add the same tails,
+// so every row's float is its cell kernel's.
 // ---------------------------------------------------------------------------
 
+struct DotOp {
+  static __m256 Lanes(const float* a, const float* b, size_t n) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 4 * kLanes <= n; i += 4 * kLanes) {
+      acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
+                             _mm256_loadu_ps(b + i), acc0);
+      acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + kLanes),
+                             _mm256_loadu_ps(b + i + kLanes), acc1);
+      acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 2 * kLanes),
+                             _mm256_loadu_ps(b + i + 2 * kLanes), acc2);
+      acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 3 * kLanes),
+                             _mm256_loadu_ps(b + i + 3 * kLanes), acc3);
+    }
+    for (; i + kLanes <= n; i += kLanes) {
+      acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
+                             _mm256_loadu_ps(b + i), acc0);
+    }
+    return _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
+  }
+  static float Tail(float sum, const float* a, const float* b, size_t n) {
+    for (size_t i = TailStart(n); i < n; ++i) sum += a[i] * b[i];
+    return sum;
+  }
+};
+
+struct SquaredL2DistanceOp {
+  static __m256 Lanes(const float* a, const float* b, size_t n) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
+      const __m256 d0 =
+          _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
+      const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + i + kLanes),
+                                      _mm256_loadu_ps(b + i + kLanes));
+      acc0 = _mm256_fmadd_ps(d0, d0, acc0);
+      acc1 = _mm256_fmadd_ps(d1, d1, acc1);
+    }
+    for (; i + kLanes <= n; i += kLanes) {
+      const __m256 d =
+          _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
+      acc0 = _mm256_fmadd_ps(d, d, acc0);
+    }
+    return _mm256_add_ps(acc0, acc1);
+  }
+  static float Tail(float sum, const float* a, const float* b, size_t n) {
+    for (size_t i = TailStart(n); i < n; ++i) {
+      const float d = a[i] - b[i];
+      sum += d * d;
+    }
+    return sum;
+  }
+};
+
+struct L1DistanceOp {
+  static __m256 Lanes(const float* a, const float* b, size_t n) {
+    __m256 acc = _mm256_setzero_ps();
+    for (size_t i = 0; i + kLanes <= n; i += kLanes) {
+      acc = _mm256_add_ps(
+          acc, Abs(_mm256_sub_ps(_mm256_loadu_ps(a + i),
+                                 _mm256_loadu_ps(b + i))));
+    }
+    return acc;
+  }
+  static float Tail(float sum, const float* a, const float* b, size_t n) {
+    for (size_t i = TailStart(n); i < n; ++i) sum += std::fabs(a[i] - b[i]);
+    return sum;
+  }
+};
+
+template <class Op>
+float CellOf(const float* a, const float* b, size_t n) {
+  return Op::Tail(HorizontalSum(Op::Lanes(a, b, n)), a, b, n);
+}
+
+/// The library's default embedding width (core::TrainConfig::dim).
+constexpr size_t kDefaultWidth = 32;
+
+template <class Op>
+__attribute__((always_inline)) inline void RowBlocks(
+    const float* a, const float* b, size_t ldb, float* out, size_t rows,
+    size_t n) {
+  size_t r = 0;
+  for (; r + kLanes <= rows; r += kLanes) {
+    const float* block = b + r * ldb;
+    __m256 v[kLanes];
+#pragma GCC unroll 8
+    for (size_t l = 0; l < kLanes; ++l) v[l] = Op::Lanes(a, block + l * ldb, n);
+    _mm256_storeu_ps(out + r, HorizontalSum8(v));
+    if (n % kLanes != 0) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        out[r + l] = Op::Tail(out[r + l], a, block + l * ldb, n);
+      }
+    }
+  }
+  // A block shorter than eight rows costs what the cell kernel costs.
+  for (; r < rows; ++r) out[r] = CellOf<Op>(a, b + r * ldb, n);
+}
+
+template <class Op>
+void RowsOf(const float* a, const float* b, size_t ldb, float* out,
+            size_t rows, size_t n) {
+  // At the default width the row length is a constant here, so the
+  // compiler unrolls each row's loops and keeps the source row's vectors
+  // in registers across the eight rows: the same operations, fewer
+  // instructions.
+  if (n == kDefaultWidth) {
+    RowBlocks<Op>(a, b, ldb, out, rows, kDefaultWidth);
+  } else {
+    RowBlocks<Op>(a, b, ldb, out, rows, n);
+  }
+}
+
 float Avx2Dot(const float* a, const float* b, size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 4 * kLanes <= n; i += 4 * kLanes) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                           _mm256_loadu_ps(b + i), acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + kLanes),
-                           _mm256_loadu_ps(b + i + kLanes), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 2 * kLanes),
-                           _mm256_loadu_ps(b + i + 2 * kLanes), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 3 * kLanes),
-                           _mm256_loadu_ps(b + i + 3 * kLanes), acc3);
-  }
-  for (; i + kLanes <= n; i += kLanes) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                           _mm256_loadu_ps(b + i), acc0);
-  }
-  acc0 = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-  float sum = HorizontalSum(acc0);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
+  return CellOf<DotOp>(a, b, n);
 }
 
 float Avx2SquaredL2(const float* x, size_t n) { return Avx2Dot(x, x, n); }
@@ -85,59 +211,129 @@ float Avx2L1(const float* x, size_t n) {
 }
 
 float Avx2SquaredL2Distance(const float* a, const float* b, size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
-    const __m256 d0 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + i + kLanes),
-                                    _mm256_loadu_ps(b + i + kLanes));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-  }
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256 d =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc0 = _mm256_fmadd_ps(d, d, acc0);
-  }
-  float sum = HorizontalSum(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
+  return CellOf<SquaredL2DistanceOp>(a, b, n);
 }
 
 float Avx2L1Distance(const float* a, const float* b, size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    acc = _mm256_add_ps(
-        acc, Abs(_mm256_sub_ps(_mm256_loadu_ps(a + i),
-                               _mm256_loadu_ps(b + i))));
+  return CellOf<L1DistanceOp>(a, b, n);
+}
+
+// ---------------------------------------------------------------------------
+// Scan epilogue: the scalar epilogue (kernels.cc) eight cells at a time.
+// Finish and CSLS are the same IEEE operations per lane (multiply, then
+// subtract — this TU is built with -ffp-contract=off); NaN, greater and tie
+// counts are compare -> movemask -> popcount over the lanes in play.
+// ---------------------------------------------------------------------------
+
+void Avx2ScanEpilogue(const ScanEpilogue& tile, float* cells, size_t count,
+                      ScanCounts* counts) {
+  const CellFinish finish = tile.finish;
+  const float* const psi_tgt = tile.psi_tgt;
+  if (finish == CellFinish::kNone && psi_tgt == nullptr &&
+      counts == nullptr) {
+    return;  // Nothing to finish, adjust or count.
   }
-  float sum = HorizontalSum(acc);
-  for (; i < n; ++i) sum += std::fabs(a[i] - b[i]);
-  return sum;
-}
+  const bool cosine = finish == CellFinish::kCosine;
+  const bool count_true = tile.count_true;
+  const size_t true_pos = tile.true_pos;
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 na = _mm256_set1_ps(tile.na);
+  const __m256 tiny = _mm256_set1_ps(1e-12f);
+  const __m256 na_tiny = _mm256_cmp_ps(na, tiny, _CMP_LT_OQ);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 psi_src = _mm256_set1_ps(tile.psi_src);
+  const __m256 true_val = _mm256_set1_ps(tile.true_val);
+  // Tallied in registers, added to *counts once.
+  uint64_t nan = 0;
+  uint32_t greater = 0, ties = 0;
 
-void Avx2DotRows(const float* a, const float* b, size_t ldb, float* out,
-                 size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) out[r] = Avx2Dot(a, b + r * ldb, n);
-}
+  // Finishes, counts and offers the eight cells at `group` (tile positions
+  // pos..pos+7). `norms` / `psi` point at the group's target norms and psi
+  // values; `valid` masks the lanes that exist — the others are computed
+  // but never counted or offered.
+  auto scan_group = [&](float* group, const float* norms, const float* psi,
+                        size_t pos, unsigned valid) {
+    __m256 v = _mm256_loadu_ps(group);
+    switch (finish) {
+      case CellFinish::kCosine: {
+        const __m256 nb = _mm256_loadu_ps(norms);
+        const __m256 degenerate =
+            _mm256_or_ps(na_tiny, _mm256_cmp_ps(nb, tiny, _CMP_LT_OQ));
+        v = _mm256_blendv_ps(_mm256_div_ps(v, _mm256_mul_ps(na, nb)),
+                             _mm256_setzero_ps(), degenerate);
+        break;
+      }
+      case CellFinish::kNegSqrt:
+        v = _mm256_xor_ps(_mm256_sqrt_ps(v), sign);
+        break;
+      case CellFinish::kNegate:
+        v = _mm256_xor_ps(v, sign);
+        break;
+      case CellFinish::kNone:
+        break;
+    }
+    if (psi != nullptr) {
+      v = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(two, v), psi_src),
+                        _mm256_loadu_ps(psi));
+    }
+    _mm256_storeu_ps(group, v);
+    if (counts == nullptr) return;
+    const unsigned nan_lanes =
+        static_cast<unsigned>(
+            _mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q))) &
+        valid;
+    nan += static_cast<unsigned>(__builtin_popcount(nan_lanes));
+    if (count_true) {
+      unsigned lanes = valid;
+      if (true_pos - pos < kLanes) lanes &= ~(1u << (true_pos - pos));
+      greater += static_cast<uint32_t>(__builtin_popcount(
+          static_cast<unsigned>(_mm256_movemask_ps(
+              _mm256_cmp_ps(v, true_val, _CMP_GT_OQ))) &
+          lanes));
+      ties += static_cast<uint32_t>(__builtin_popcount(
+          static_cast<unsigned>(_mm256_movemask_ps(
+              _mm256_cmp_ps(v, true_val, _CMP_EQ_OQ))) &
+          lanes));
+    }
+    if (tile.offer != nullptr) {
+      // The bound is reread per group: `offer` tightens it.
+      unsigned admit =
+          tile.bound->open
+              ? ~nan_lanes & valid
+              : static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(
+                    v, _mm256_set1_ps(tile.bound->value), _CMP_GT_OQ))) &
+                    valid;
+      while (admit != 0) {
+        const unsigned lane = static_cast<unsigned>(__builtin_ctz(admit));
+        admit &= admit - 1;
+        tile.offer(tile.ctx, group[lane], pos + lane);
+      }
+    }
+  };
 
-void Avx2SquaredL2DistanceRows(const float* a, const float* b, size_t ldb,
-                               float* out, size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Avx2SquaredL2Distance(a, b + r * ldb, n);
+  size_t j = 0;
+  for (; j + kLanes <= count; j += kLanes) {
+    scan_group(cells + j, cosine ? tile.tgt_norms + j : nullptr,
+               psi_tgt != nullptr ? psi_tgt + j : nullptr, j, 0xFFu);
   }
-}
-
-void Avx2L1DistanceRows(const float* a, const float* b, size_t ldb,
-                        float* out, size_t rows, size_t n) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Avx2L1Distance(a, b + r * ldb, n);
+  if (j < count) {
+    // The last partial group runs padded: zero cells, zero norms (which the
+    // cosine guard maps to 0) and zero psi fill the missing lanes.
+    const size_t rem = count - j;
+    float group[kLanes] = {}, norms[kLanes] = {}, psi[kLanes] = {};
+    for (size_t l = 0; l < rem; ++l) {
+      group[l] = cells[j + l];
+      if (cosine) norms[l] = tile.tgt_norms[j + l];
+      if (psi_tgt != nullptr) psi[l] = psi_tgt[j + l];
+    }
+    scan_group(group, norms, psi_tgt != nullptr ? psi : nullptr, j,
+               (1u << rem) - 1);
+    for (size_t l = 0; l < rem; ++l) cells[j + l] = group[l];
+  }
+  if (counts != nullptr) {
+    counts->nan += nan;
+    counts->greater += greater;
+    counts->ties += ties;
   }
 }
 
@@ -262,9 +458,10 @@ constexpr KernelTable kAvx2Table = {
     /*l1=*/Avx2L1,
     /*squared_l2_distance=*/Avx2SquaredL2Distance,
     /*l1_distance=*/Avx2L1Distance,
-    /*dot_rows=*/Avx2DotRows,
-    /*squared_l2_distance_rows=*/Avx2SquaredL2DistanceRows,
-    /*l1_distance_rows=*/Avx2L1DistanceRows,
+    /*dot_rows=*/RowsOf<DotOp>,
+    /*squared_l2_distance_rows=*/RowsOf<SquaredL2DistanceOp>,
+    /*l1_distance_rows=*/RowsOf<L1DistanceOp>,
+    /*scan_epilogue=*/Avx2ScanEpilogue,
     /*axpy=*/Avx2Axpy,
     /*scale=*/Avx2Scale,
     /*add=*/Avx2Add,

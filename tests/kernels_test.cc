@@ -14,11 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/align/similarity.h"
@@ -102,30 +106,237 @@ TEST_F(KernelsTest, ReductionsAgreeWithinUlps) {
   }
 }
 
+/// Bit patterns mixed into the exactness sweeps: two NaNs of either sign,
+/// the infinities, both zeros and subnormals.
+float FromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+const float kSpecials[] = {FromBits(0x7FC00001u), FromBits(0xFFC12345u),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           0.0f, -0.0f, FromBits(0x00000003u),
+                           FromBits(0x807FFFFFu)};
+
+/// RandomVec with a special value every `every` elements (cycling through
+/// kSpecials from a seed-dependent start).
+std::vector<float> MixedVec(size_t n, uint64_t seed, size_t every) {
+  std::vector<float> v = RandomVec(n, seed);
+  size_t s = seed % std::size(kSpecials);
+  for (size_t i = seed % every; i < n; i += every) {
+    v[i] = kSpecials[s++ % std::size(kSpecials)];
+  }
+  return v;
+}
+
+/// Bitwise equality (so -0 != +0), except that any NaN equals any NaN: NaN
+/// payloads are not part of the kernel contract, because the compiler may
+/// commute the operands of an add and so pick which of two NaNs survives.
+bool SameBits(const float* a, const float* b, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a + i, b + i, sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
 TEST_F(KernelsTest, RowBatchesMatchTheirCellKernelExactly) {
   // The *_rows kernels must produce the same float as calling the cell
   // kernel per row — within one backend this is exact, which is what keeps
   // the dense similarity matrix and the streaming top-k bit-identical.
-  const size_t rows = 13, n = 33, ldb = 40;
-  const auto a = RandomVec(n, 1);
-  const auto b = RandomVec(rows * ldb, 2);
-  for (const KernelTable* kt : {&scalar_, &avx2_}) {
-    std::vector<float> out(rows);
-    kt->dot_rows(a.data(), b.data(), ldb, out.data(), rows, n);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[r], kt->dot(a.data(), b.data() + r * ldb, n)) << r;
+  // Compared bitwise (EXPECT_EQ passes -0 == +0 and fails on NaN) over
+  // every block length 0..40 (full 8-row groups plus every remainder), every
+  // row length of the tail sweep, a row stride wider than the row, and
+  // inputs holding NaNs, infinities, signed zeros and subnormals.
+  constexpr size_t kMaxRows = 40;
+  constexpr float kSentinel = 12345.0f;  // Past the block: must stay put.
+  using RowsFn = void (*)(const float*, const float*, size_t, float*, size_t,
+                          size_t);
+  using CellFn = float (*)(const float*, const float*, size_t);
+  for (size_t n : kLengths) {
+    const size_t ldb = n + 3;
+    for (int inputs = 0; inputs < 3; ++inputs) {
+      const auto a = inputs == 2 ? MixedVec(n, 10 + n, 5) : RandomVec(n, 10 + n);
+      const auto b = inputs == 0 ? RandomVec(kMaxRows * ldb, 20 + n)
+                                 : MixedVec(kMaxRows * ldb, 20 + n, 7);
+      for (const KernelTable* kt : {&scalar_, &avx2_}) {
+        const std::pair<RowsFn, CellFn> kernels[] = {
+            {kt->dot_rows, kt->dot},
+            {kt->squared_l2_distance_rows, kt->squared_l2_distance},
+            {kt->l1_distance_rows, kt->l1_distance}};
+        for (size_t kernel = 0; kernel < std::size(kernels); ++kernel) {
+          const auto [rows_fn, cell_fn] = kernels[kernel];
+          for (size_t rows = 0; rows <= kMaxRows; ++rows) {
+            std::vector<float> got(rows + 1, kSentinel);
+            std::vector<float> want(rows + 1, kSentinel);
+            rows_fn(a.data(), b.data(), ldb, got.data(), rows, n);
+            for (size_t r = 0; r < rows; ++r) {
+              want[r] = cell_fn(a.data(), b.data() + r * ldb, n);
+            }
+            ASSERT_TRUE(SameBits(got.data(), want.data(), rows + 1))
+                << (kt == &scalar_ ? "scalar" : "avx2") << " kernel "
+                << kernel << " n=" << n << " rows=" << rows
+                << " inputs=" << inputs;
+          }
+        }
+      }
     }
-    kt->squared_l2_distance_rows(a.data(), b.data(), ldb, out.data(), rows,
-                                 n);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[r],
-                kt->squared_l2_distance(a.data(), b.data() + r * ldb, n))
-          << r;
+  }
+}
+
+/// A k-entry top-k list fed by the scan epilogue's `offer` hook, tightening
+/// the admission bound the way the streaming top-k does.
+struct OfferedList {
+  std::vector<align::TopKEntry> ents;
+  size_t count = 0;
+  ScanBound bound;
+};
+
+void OfferInto(void* ctx, float v, size_t pos) {
+  OfferedList& list = *static_cast<OfferedList*>(ctx);
+  const size_t k = list.ents.size();
+  align::detail::TopKInsert(list.ents.data(), list.count, k, v,
+                            static_cast<int>(pos));
+  if (list.count == k) list.bound = {list.ents[k - 1].value, false};
+}
+
+struct EpilogueRun {
+  std::vector<float> cells;
+  ScanCounts counts;
+  OfferedList list;
+};
+
+EpilogueRun RunEpilogue(const KernelTable& kt, ScanEpilogue tile,
+                        std::vector<float> cells, const OfferedList& start,
+                        bool count, bool offer) {
+  EpilogueRun run;
+  run.cells = std::move(cells);
+  run.list = start;
+  if (offer) {
+    tile.bound = &run.list.bound;
+    tile.offer = OfferInto;
+    tile.ctx = &run.list;
+  }
+  kt.scan_epilogue(tile, run.cells.data(), run.cells.size(),
+                   count ? &run.counts : nullptr);
+  return run;
+}
+
+TEST_F(KernelsTest, ScanEpilogueMatchesScalarReferenceExactly) {
+  // The AVX2 epilogue must give the scalar reference's finished cells bit
+  // for bit and the same NaN, greater and tie counts and top-k list, for
+  // every finish, with and without CSLS, over every tile length 0..40 (full
+  // 8-cell groups plus the padded remainder), with the true column in
+  // several lane positions, and an empty or already full top-k list whose
+  // k-th value ties cells of the tile.
+  const CellFinish kFinishes[] = {CellFinish::kNone, CellFinish::kCosine,
+                                  CellFinish::kNegSqrt, CellFinish::kNegate};
+  constexpr size_t kK = 5;
+  for (size_t count = 0; count <= 40; ++count) {
+    std::vector<float> raw = MixedVec(count, 500 + count, 6);
+    // Repeated values so that ties with the true cell and the k-th value
+    // cross group boundaries.
+    for (size_t j = 3; j < count; j += 5) raw[j] = raw[j - 3];
+    std::vector<float> norms = RandomVec(count, 600 + count);
+    for (size_t j = 0; j < count; ++j) {
+      norms[j] = j % 9 == 4 ? 1e-13f : std::fabs(norms[j]) + 0.5f;
     }
-    kt->l1_distance_rows(a.data(), b.data(), ldb, out.data(), rows, n);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(out[r], kt->l1_distance(a.data(), b.data() + r * ldb, n))
-          << r;
+    if (count > 2) norms[2] = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> psi = MixedVec(count, 700 + count, 11);
+    for (CellFinish finish : kFinishes) {
+      for (bool csls : {false, true}) {
+        ScanEpilogue tile;
+        tile.finish = finish;
+        tile.na = count % 4 == 1 ? 1e-13f : 0.8f;
+        tile.tgt_norms = norms.data();
+        tile.psi_src = 0.25f;
+        tile.psi_tgt = csls ? psi.data() : nullptr;
+        // The finished cells, to pick true values and list bounds from.
+        const std::vector<float> finished =
+            RunEpilogue(scalar_, tile, raw, {}, false, false).cells;
+        const size_t true_positions[] = {0, count / 2, count - 1, count,
+                                         static_cast<size_t>(-1)};
+        for (size_t true_pos : true_positions) {
+          tile.count_true = true_pos != static_cast<size_t>(-1);
+          tile.true_pos = true_pos;
+          tile.true_val = true_pos < count ? finished[true_pos] : 0.5f;
+          // Empty list, and a full list whose k-th value is a finished cell.
+          OfferedList empty;
+          empty.ents.assign(kK, align::TopKEntry{});
+          OfferedList full = empty;
+          full.count = kK;
+          float kth = 0.5f;
+          for (size_t j = count / 3; j < count; ++j) {
+            if (!std::isnan(finished[j])) {
+              kth = finished[j];
+              break;
+            }
+          }
+          for (size_t t = 0; t < kK; ++t) {
+            full.ents[t] = {kth, -static_cast<int>(kK - t)};
+          }
+          full.bound = {kth, false};
+          for (const OfferedList* start : {&empty, &full}) {
+            const EpilogueRun want =
+                RunEpilogue(scalar_, tile, raw, *start, true, true);
+            const EpilogueRun got =
+                RunEpilogue(avx2_, tile, raw, *start, true, true);
+            const std::string label =
+                "count=" + std::to_string(count) + " finish=" +
+                std::to_string(static_cast<int>(finish)) +
+                " csls=" + std::to_string(csls) +
+                " true_pos=" + std::to_string(true_pos) +
+                " full=" + std::to_string(start == &full);
+            ASSERT_TRUE(SameBits(got.cells.data(), want.cells.data(), count))
+                << label;
+            ASSERT_TRUE(SameBits(want.cells.data(), finished.data(), count))
+                << label;
+            EXPECT_EQ(got.counts.nan, want.counts.nan) << label;
+            EXPECT_EQ(got.counts.greater, want.counts.greater) << label;
+            EXPECT_EQ(got.counts.ties, want.counts.ties) << label;
+            ASSERT_EQ(got.list.count, want.list.count) << label;
+            for (size_t t = 0; t < want.list.count; ++t) {
+              EXPECT_TRUE(SameBits(&got.list.ents[t].value,
+                                   &want.list.ents[t].value, 1))
+                  << label << " t=" << t;
+              EXPECT_EQ(got.list.ents[t].index, want.list.ents[t].index)
+                  << label << " t=" << t;
+            }
+            // The reference itself against the plain definitions.
+            uint64_t nan = 0;
+            uint32_t greater = 0, ties = 0;
+            std::vector<align::TopKEntry> all(
+                start->ents.begin(), start->ents.begin() + start->count);
+            for (size_t j = 0; j < count; ++j) {
+              const float v = finished[j];
+              if (std::isnan(v)) {
+                ++nan;
+                continue;
+              }
+              all.push_back({v, static_cast<int>(j)});
+              if (!tile.count_true || j == true_pos) continue;
+              greater += v > tile.true_val;
+              ties += v == tile.true_val;
+            }
+            std::sort(all.begin(), all.end(),
+                      [](const align::TopKEntry& x, const align::TopKEntry& y) {
+                        return align::detail::TopKBetter(x.value, x.index, y);
+                      });
+            all.resize(std::min(all.size(), kK));
+            EXPECT_EQ(want.counts.nan, nan) << label;
+            EXPECT_EQ(want.counts.greater, greater) << label;
+            EXPECT_EQ(want.counts.ties, ties) << label;
+            ASSERT_EQ(want.list.count, all.size()) << label;
+            for (size_t t = 0; t < all.size(); ++t) {
+              EXPECT_TRUE(SameBits(&want.list.ents[t].value, &all[t].value, 1))
+                  << label << " t=" << t;
+              EXPECT_EQ(want.list.ents[t].index, all[t].index)
+                  << label << " t=" << t;
+            }
+          }
+        }
+      }
     }
   }
 }

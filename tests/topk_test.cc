@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/align/inference.h"
@@ -19,6 +22,7 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/eval/metrics.h"
+#include "src/math/sharded_table.h"
 
 namespace openea::align {
 namespace {
@@ -300,6 +304,210 @@ TEST(StreamingTopKTest, EvaluateRankingBitIdenticalToDensePath) {
         EXPECT_EQ(streamed.mrr, dense.mrr)
             << DistanceMetricName(metric) << " csls=" << csls
             << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The scan epilogue (DESIGN.md, "Streaming top-k similarity"): top-k pruning
+// against the k-th kept value, ties, NaN cells and true-column lanes. Every
+// case compares StreamingTopK at 1 and 8 threads, and ShardedTopK over banks
+// whose sizes are not multiples of 8, with the dense path.
+// ---------------------------------------------------------------------------
+
+class ScanEpilogueTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("openea_topk_scan_") + info->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Checks the streaming and sharded scans of `options` against the dense
+  /// similarity matrix: the same entries bit for bit (NaN cells skipped,
+  /// short rows padded), the same NaN cell count, and exact greater/tie
+  /// counts against the true column (a NaN true cell ranks last).
+  void ExpectScansMatchDense(const math::Matrix& src, const math::Matrix& tgt,
+                             const TopKOptions& options,
+                             const std::string& label) {
+    const math::Matrix sim =
+        DenseSim(src, tgt, options.metric, options.csls, options.csls_k);
+    const size_t cols = tgt.rows();
+    uint64_t nan_cells = 0;
+    for (float v : sim.Data()) nan_cells += std::isnan(v);
+    auto check = [&](const TopKResult& got, const std::string& run) {
+      const std::string where = label + " " + run;
+      ASSERT_EQ(got.rows, src.rows()) << where;
+      EXPECT_EQ(got.nan_cells, nan_cells) << where;
+      for (size_t i = 0; i < src.rows(); ++i) {
+        const auto row = sim.Row(i);
+        std::vector<TopKEntry> want;
+        for (size_t j = 0; j < cols; ++j) {
+          if (!std::isnan(row[j])) want.push_back({row[j], static_cast<int>(j)});
+        }
+        std::sort(want.begin(), want.end(),
+                  [](const TopKEntry& a, const TopKEntry& b) {
+                    return detail::TopKBetter(a.value, a.index, b);
+                  });
+        want.resize(options.k, TopKEntry{});
+        const auto entries = got.Row(i);
+        for (size_t t = 0; t < options.k; ++t) {
+          EXPECT_TRUE(SameFloat(entries[t].value, want[t].value))
+              << where << " row=" << i << " t=" << t;
+          EXPECT_EQ(entries[t].index, want[t].index)
+              << where << " row=" << i << " t=" << t;
+        }
+        if (options.true_cols.empty()) continue;
+        const size_t tc = static_cast<size_t>(options.true_cols[i]);
+        const float true_sim = row[tc];
+        uint32_t greater = 0, ties = 0;
+        if (std::isnan(true_sim)) {
+          greater = static_cast<uint32_t>(cols);
+        } else {
+          for (size_t j = 0; j < cols; ++j) {
+            if (j == tc) continue;
+            greater += row[j] > true_sim;
+            ties += row[j] == true_sim;
+          }
+        }
+        EXPECT_TRUE(SameFloat(got.true_sim[i], true_sim))
+            << where << " row=" << i;
+        EXPECT_EQ(got.num_greater[i], greater) << where << " row=" << i;
+        EXPECT_EQ(got.num_ties[i], ties) << where << " row=" << i;
+      }
+    };
+    for (int threads : {1, 8}) {
+      ThreadGuard guard(threads);
+      check(StreamingTopK(src, tgt, options),
+            "streaming threads=" + std::to_string(threads));
+    }
+    if (options.csls) return;  // ShardedTopK ranks raw metrics only.
+    for (size_t rows_per_bank : {5u, 13u}) {
+      math::ShardedTableOptions shard_options;
+      shard_options.rows_per_bank = rows_per_bank;
+      const std::string path =
+          (dir_ / ("tgt_" + std::to_string(rows_per_bank) + ".shard"))
+              .string();
+      ASSERT_TRUE(math::WriteShardedTable(path, tgt, shard_options).ok());
+      auto banked = math::ShardedEmbeddingTable::Open(path);
+      ASSERT_TRUE(banked.ok()) << banked.status().ToString();
+      for (int threads : {1, 8}) {
+        ThreadGuard guard(threads);
+        check(ShardedTopK(src, **banked, options),
+              "sharded bank=" + std::to_string(rows_per_bank) +
+                  " threads=" + std::to_string(threads));
+      }
+    }
+  }
+
+  static bool SameFloat(float a, float b) {
+    return std::isnan(a) ? std::isnan(b)
+                         : std::memcmp(&a, &b, sizeof(float)) == 0;
+  }
+
+  static void CopyRow(math::Matrix& m, size_t from, size_t to) {
+    std::copy(m.Row(from).begin(), m.Row(from).end(), m.Row(to).begin());
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(ScanEpilogueTest, TiesWithTheKthValueStraddleGroupAndTileBoundaries) {
+  // Target columns 5..14 copy column 30, so every source row sees eleven
+  // equal cells. Source row 0 is column 30 itself (cosine 1 everywhere in
+  // the run, the top of the list) and row 1 a multiple of it: with k = 6
+  // the list is columns 5..10, and the equal cells 11..14 and 30 — in the
+  // same 8-lane group, past the col_block = 12 tile boundary and in a later
+  // tile — tie the k-th value and must lose to the lower columns.
+  const size_t rows = 6, cols = 45, dim = 16;
+  math::Matrix src = RandomMatrix(rows, dim, 41);
+  math::Matrix tgt = RandomMatrix(cols, dim, 42);
+  for (size_t j = 5; j <= 14; ++j) CopyRow(tgt, 30, j);
+  std::copy(tgt.Row(30).begin(), tgt.Row(30).end(), src.Row(0).begin());
+  for (size_t d = 0; d < dim; ++d) src.Row(1)[d] = 2.0f * tgt.Row(30)[d];
+  for (DistanceMetric metric : kAllMetrics) {
+    for (bool csls : {false, true}) {
+      TopKOptions options;
+      options.k = 6;
+      options.metric = metric;
+      options.csls = csls;
+      options.col_block = 12;
+      options.true_cols = {9, 9, 9, 30, 0, 44};
+      ExpectScansMatchDense(src, tgt, options,
+                            std::string(DistanceMetricName(metric)) +
+                                " csls=" + std::to_string(csls));
+    }
+  }
+}
+
+TEST_F(ScanEpilogueTest, NanCellsAreSkippedInEveryLanePosition) {
+  // NaN target rows at the first and last lane of several groups and in the
+  // padded last group (37 columns), a source row that is NaN throughout,
+  // and true columns that are NaN.
+  const size_t rows = 5, cols = 37, dim = 8;
+  math::Matrix src = RandomMatrix(rows, dim, 51);
+  math::Matrix tgt = RandomMatrix(cols, dim, 52);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (size_t j : {0u, 7u, 8u, 15u, 16u, 23u, 33u, 36u}) tgt.Row(j)[j % dim] = nan;
+  for (float& v : src.Row(3)) v = nan;
+  for (DistanceMetric metric : kAllMetrics) {
+    TopKOptions options;
+    options.k = 4;
+    options.metric = metric;
+    options.col_block = 16;
+    options.true_cols = {7, 8, 9, 10, 36};
+    ExpectScansMatchDense(src, tgt, options, DistanceMetricName(metric));
+  }
+}
+
+TEST_F(ScanEpilogueTest, TrueColumnInEveryLanePosition) {
+  // Source row i ranks against true column i, so the true column takes
+  // every lane of every group; columns 8..23 copy columns 0..15, so each
+  // true cell of rows 0..23 ties a cell in another group.
+  const size_t n = 40, dim = 12;
+  const math::Matrix src = RandomMatrix(n, dim, 61);
+  math::Matrix tgt = RandomMatrix(n, dim, 62);
+  for (size_t j = 0; j < 16; ++j) CopyRow(tgt, j, j + 8);
+  for (DistanceMetric metric : kAllMetrics) {
+    for (size_t col_block : {0u, 12u}) {
+      TopKOptions options;
+      options.k = 3;
+      options.metric = metric;
+      options.col_block = col_block;
+      options.true_cols.resize(n);
+      for (size_t i = 0; i < n; ++i) options.true_cols[i] = static_cast<int>(i);
+      ExpectScansMatchDense(src, tgt, options,
+                            std::string(DistanceMetricName(metric)) +
+                                " col_block=" + std::to_string(col_block));
+    }
+  }
+}
+
+TEST_F(ScanEpilogueTest, ColumnCountsThatAreNotMultiplesOfEight) {
+  // Short and ragged rows of cells (every tile ends in a padded group), an
+  // odd row length, and more list slots than some rows have columns.
+  const size_t rows = 9, dim = 5;
+  const math::Matrix src = RandomMatrix(rows, dim, 71);
+  for (size_t cols : {1u, 3u, 7u, 9u, 17u, 31u}) {
+    const math::Matrix tgt = RandomMatrix(cols, dim, 72 + cols);
+    for (DistanceMetric metric : kAllMetrics) {
+      for (bool csls : {false, true}) {
+        TopKOptions options;
+        options.k = 4;
+        options.metric = metric;
+        options.csls = csls;
+        options.true_cols.resize(rows);
+        for (size_t i = 0; i < rows; ++i) {
+          options.true_cols[i] = static_cast<int>((i * 5) % cols);
+        }
+        ExpectScansMatchDense(src, tgt, options,
+                              std::string(DistanceMetricName(metric)) +
+                                  " cols=" + std::to_string(cols) +
+                                  " csls=" + std::to_string(csls));
       }
     }
   }
