@@ -18,13 +18,26 @@ namespace {
 /// Same fixed row grain as the streaming engine / the other sources.
 constexpr size_t kQueryGrain = 8;
 
-std::vector<float> RowNormsOf(const math::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  ParallelFor(0, m.rows(), 0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) norms[i] = math::L2Norm(m.Row(i));
-  });
-  return norms;
-}
+/// Reads rows of a RowBanks in any order, keeping the last bank leased so
+/// a run of rows from one bank leases it once.
+class RowReader {
+ public:
+  explicit RowReader(const math::RowBanks& rows) : rows_(rows) {}
+
+  StatusOr<const float*> Row(size_t row) {
+    if (bank_.values() == nullptr || row < bank_.first_row() ||
+        row >= bank_.first_row() + bank_.rows()) {
+      StatusOr<math::RowBanks::Bank> bank = rows_.Lease(rows_.BankOfRow(row));
+      if (!bank.ok()) return bank.status();
+      bank_ = *std::move(bank);
+    }
+    return bank_.RowValues(row);
+  }
+
+ private:
+  const math::RowBanks& rows_;
+  math::RowBanks::Bank bank_;
+};
 
 class AnnIvfSource final : public CandidateSource {
  public:
@@ -33,291 +46,8 @@ class AnnIvfSource final : public CandidateSource {
 
   const char* Name() const override { return "ann_ivf"; }
 
-  size_t num_targets() const override {
-    return sharded_build_ ? sharded_rows_ : targets_.rows();
-  }
-  size_t dim() const override {
-    return sharded_build_ ? sharded_dim_ : targets_.cols();
-  }
-
-  Status Index(const math::Matrix& targets) override {
-    telemetry::ScopedSpan span("ann_ivf_build");
-    targets_ = targets;
-    packed_sharded_.reset();
-    sharded_build_ = false;
-    const size_t n = targets_.rows();
-    const size_t dim = targets_.cols();
-
-    // ceil(sqrt(N)) lists by default: balances the `lists` centroid scan
-    // against the ~nprobe*N/lists list scan.
-    size_t lists = config_.ivf_lists;
-    if (lists == 0 && n > 0) {
-      lists = static_cast<size_t>(
-          std::ceil(std::sqrt(static_cast<double>(n))));
-    }
-    lists = std::min(std::max<size_t>(lists, 1), std::max<size_t>(n, 1));
-    num_lists_ = n > 0 ? lists : 0;
-
-    centroids_ = math::Matrix(num_lists_, dim);
-    packed_ = math::Matrix(n, dim);
-    packed_ids_.assign(n, 0);
-    list_offsets_.assign(num_lists_ + 1, 0);
-    if (n == 0) {
-      indexed_ = true;
-      return Status::OK();
-    }
-
-    // Seeded k-means init: `lists` distinct rows, chosen by a deterministic
-    // shuffle of the row indices.
-    Rng rng(config_.seed);
-    std::vector<int> seeds(n);
-    std::iota(seeds.begin(), seeds.end(), 0);
-    rng.Shuffle(seeds);
-    for (size_t c = 0; c < num_lists_; ++c) {
-      const auto row = targets_.Row(static_cast<size_t>(seeds[c]));
-      std::copy(row.begin(), row.end(), centroids_.Row(c).begin());
-    }
-
-    // Lloyd iterations. Assignment runs in parallel (disjoint writes per
-    // point, ties toward the lower centroid id); the centroid update
-    // accumulates serially in row order — both deterministic at any thread
-    // count.
-    std::vector<int> assign(n, 0);
-    std::vector<float> centroid_norms;
-    for (int iter = 0; iter < config_.ivf_iters; ++iter) {
-      if (config_.metric == DistanceMetric::kCosine) {
-        centroid_norms = RowNormsOf(centroids_);
-      }
-      ParallelFor(0, n, kQueryGrain, [&](size_t begin, size_t end) {
-        std::vector<float> sims(num_lists_);
-        for (size_t i = begin; i < end; ++i) {
-          const auto row = targets_.Row(i);
-          const float nq =
-              config_.metric == DistanceMetric::kCosine
-                  ? math::L2Norm(row)
-                  : 0.0f;
-          detail::MetricRowBlock(
-              config_.metric, row.data(), nq, centroids_.Row(0).data(), dim,
-              centroid_norms.empty() ? nullptr : centroid_norms.data(),
-              sims.data(), num_lists_, dim);
-          int best = 0;
-          float best_value = sims[0];
-          for (size_t c = 1; c < num_lists_; ++c) {
-            // NaN sims never beat: the comparison is false, so the point
-            // stays on the lowest finite (or 0th) centroid.
-            if (sims[c] > best_value) {
-              best = static_cast<int>(c);
-              best_value = sims[c];
-            }
-          }
-          assign[i] = best;
-        }
-      });
-      std::vector<double> sums(num_lists_ * dim, 0.0);
-      std::vector<uint32_t> counts(num_lists_, 0);
-      for (size_t i = 0; i < n; ++i) {
-        const auto row = targets_.Row(i);
-        double* acc = sums.data() + static_cast<size_t>(assign[i]) * dim;
-        for (size_t d = 0; d < dim; ++d) acc[d] += row[d];
-        ++counts[static_cast<size_t>(assign[i])];
-      }
-      for (size_t c = 0; c < num_lists_; ++c) {
-        if (counts[c] == 0) continue;  // Empty list keeps its centroid.
-        auto row = centroids_.Row(c);
-        const double* acc = sums.data() + c * dim;
-        for (size_t d = 0; d < dim; ++d) {
-          row[d] = static_cast<float>(acc[d] / counts[c]);
-        }
-      }
-    }
-
-    // Inverted-list layout: rows regrouped contiguously per list, members
-    // in ascending original id, so a probe is one batched kernel call.
-    std::vector<uint32_t> counts(num_lists_, 0);
-    for (size_t i = 0; i < n; ++i) ++counts[static_cast<size_t>(assign[i])];
-    for (size_t c = 0; c < num_lists_; ++c) {
-      list_offsets_[c + 1] = list_offsets_[c] + counts[c];
-    }
-    std::vector<size_t> cursor(list_offsets_.begin(),
-                               list_offsets_.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t slot = cursor[static_cast<size_t>(assign[i])]++;
-      packed_ids_[slot] = static_cast<int>(i);
-      const auto row = targets_.Row(i);
-      std::copy(row.begin(), row.end(), packed_.Row(slot).begin());
-    }
-    if (config_.metric == DistanceMetric::kCosine) {
-      packed_norms_ = RowNormsOf(packed_);
-      centroid_norms_ = RowNormsOf(centroids_);
-    } else {
-      packed_norms_.clear();
-      centroid_norms_.clear();
-    }
-    telemetry::SetGauge("ann/lists", static_cast<double>(num_lists_));
-    indexed_ = true;
-    return Status::OK();
-  }
-
-  /// Out-of-core build: the k-means passes stream the source table bank by
-  /// bank, and the packed inverted-list layout is spilled to a sidecar
-  /// sharded table (`<path>.ivfpack`) instead of an in-RAM matrix, so the
-  /// only O(N) state kept resident is the id permutation and the per-row
-  /// norms. Probes then scan mapped banks through the same cell kernel with
-  /// the bank's row stride, so scores stay bit-identical to the in-RAM
-  /// index (pinned by tests/sharded_table_test.cc).
-  Status IndexSharded(
-      std::shared_ptr<const math::ShardedEmbeddingTable> table) override {
-    telemetry::ScopedSpan span("ann_ivf_build");
-    targets_ = math::Matrix();
-    packed_ = math::Matrix();
-    packed_sharded_.reset();
-    sharded_build_ = true;
-    const size_t n = table->num_rows();
-    const size_t dim = table->dim();
-    const size_t stride = table->row_stride();
-    sharded_rows_ = n;
-    sharded_dim_ = dim;
-
-    size_t lists = config_.ivf_lists;
-    if (lists == 0 && n > 0) {
-      lists = static_cast<size_t>(
-          std::ceil(std::sqrt(static_cast<double>(n))));
-    }
-    lists = std::min(std::max<size_t>(lists, 1), std::max<size_t>(n, 1));
-    num_lists_ = n > 0 ? lists : 0;
-
-    centroids_ = math::Matrix(num_lists_, dim);
-    packed_ids_.assign(n, 0);
-    list_offsets_.assign(num_lists_ + 1, 0);
-    packed_norms_.clear();
-    centroid_norms_.clear();
-    if (n == 0) {
-      indexed_ = true;
-      return Status::OK();
-    }
-
-    // Same seeded init as the in-RAM path: the shuffled ids are identical,
-    // and ReadRow returns the same float values the matrix rows would hold.
-    Rng rng(config_.seed);
-    std::vector<int> seeds(n);
-    std::iota(seeds.begin(), seeds.end(), 0);
-    rng.Shuffle(seeds);
-    for (size_t c = 0; c < num_lists_; ++c) {
-      Status status = table->ReadRow(static_cast<size_t>(seeds[c]),
-                                     centroids_.Row(c));
-      if (!status.ok()) return status;
-    }
-
-    // Lloyd iterations, bank-streamed. Assignment is per-row pure, so the
-    // bank-bounded ParallelFor ranges give the same result as the in-RAM
-    // 0..n scan; the centroid update accumulates serially in global row
-    // order — identical to the in-RAM path bit for bit.
-    std::vector<int> assign(n, 0);
-    std::vector<float> centroid_norms;
-    for (int iter = 0; iter < config_.ivf_iters; ++iter) {
-      if (config_.metric == DistanceMetric::kCosine) {
-        centroid_norms = RowNormsOf(centroids_);
-      }
-      for (size_t b = 0; b < table->num_banks(); ++b) {
-        if (b + 1 < table->num_banks()) table->Prefetch(b + 1);
-        auto lease = table->MapBank(b);
-        if (!lease.ok()) return lease.status();
-        const size_t first = lease->first_row();
-        ParallelFor(first, first + lease->rows(), kQueryGrain,
-                    [&](size_t begin, size_t end) {
-          std::vector<float> sims(num_lists_);
-          for (size_t i = begin; i < end; ++i) {
-            const std::span<const float> row(
-                lease->values() + (i - first) * stride, dim);
-            const float nq = config_.metric == DistanceMetric::kCosine
-                                 ? math::L2Norm(row)
-                                 : 0.0f;
-            detail::MetricRowBlock(
-                config_.metric, row.data(), nq, centroids_.Row(0).data(), dim,
-                centroid_norms.empty() ? nullptr : centroid_norms.data(),
-                sims.data(), num_lists_, dim);
-            int best = 0;
-            float best_value = sims[0];
-            for (size_t c = 1; c < num_lists_; ++c) {
-              if (sims[c] > best_value) {
-                best = static_cast<int>(c);
-                best_value = sims[c];
-              }
-            }
-            assign[i] = best;
-          }
-        });
-      }
-      std::vector<double> sums(num_lists_ * dim, 0.0);
-      std::vector<uint32_t> counts(num_lists_, 0);
-      for (size_t b = 0; b < table->num_banks(); ++b) {
-        auto lease = table->MapBank(b);
-        if (!lease.ok()) return lease.status();
-        const size_t first = lease->first_row();
-        for (size_t r = 0; r < lease->rows(); ++r) {
-          const size_t i = first + r;
-          const float* row = lease->values() + r * stride;
-          double* acc = sums.data() + static_cast<size_t>(assign[i]) * dim;
-          for (size_t d = 0; d < dim; ++d) acc[d] += row[d];
-          ++counts[static_cast<size_t>(assign[i])];
-        }
-      }
-      for (size_t c = 0; c < num_lists_; ++c) {
-        if (counts[c] == 0) continue;
-        auto row = centroids_.Row(c);
-        const double* acc = sums.data() + c * dim;
-        for (size_t d = 0; d < dim; ++d) {
-          row[d] = static_cast<float>(acc[d] / counts[c]);
-        }
-      }
-    }
-
-    // Same packed layout as the in-RAM path, but spilled to a sidecar
-    // sharded table instead of held as a matrix.
-    std::vector<uint32_t> counts(num_lists_, 0);
-    for (size_t i = 0; i < n; ++i) ++counts[static_cast<size_t>(assign[i])];
-    for (size_t c = 0; c < num_lists_; ++c) {
-      list_offsets_[c + 1] = list_offsets_[c] + counts[c];
-    }
-    std::vector<size_t> cursor(list_offsets_.begin(),
-                               list_offsets_.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      packed_ids_[static_cast<size_t>(
-          cursor[static_cast<size_t>(assign[i])]++)] = static_cast<int>(i);
-    }
-    const std::string packed_path = table->path() + ".ivfpack";
-    math::ShardedTableOptions pack_opts;
-    pack_opts.rows_per_bank = table->rows_per_bank();
-    auto writer =
-        math::ShardedTableWriter::Create(packed_path, n, dim, pack_opts);
-    if (!writer.ok()) return writer.status();
-    const bool cosine = config_.metric == DistanceMetric::kCosine;
-    if (cosine) packed_norms_.reserve(n);
-    std::vector<float> row(dim);
-    for (size_t slot = 0; slot < n; ++slot) {
-      Status status = table->ReadRow(
-          static_cast<size_t>(packed_ids_[slot]), std::span<float>(row));
-      if (!status.ok()) return status;
-      if (cosine) {
-        packed_norms_.push_back(math::L2Norm(std::span<const float>(row)));
-      }
-      status = (*writer)->AppendRow(std::span<const float>(row));
-      if (!status.ok()) return status;
-    }
-    Status status = (*writer)->Finalize();
-    if (!status.ok()) return status;
-    auto packed = math::ShardedEmbeddingTable::Open(packed_path);
-    if (!packed.ok()) return packed.status();
-    packed_sharded_ = std::move(*packed);
-    if (cosine) centroid_norms_ = RowNormsOf(centroids_);
-    telemetry::SetGauge("ann/lists", static_cast<double>(num_lists_));
-    telemetry::IncrCounter("cand/ann_ivf/sharded_builds");
-    indexed_ = true;
-    return Status::OK();
-  }
-
   TopKResult TopK(const math::Matrix& queries, size_t k) const override {
-    OPENEA_CHECK(indexed_) << "AnnIvfSource::TopK before Index";
+    OPENEA_CHECK(indexed()) << "AnnIvfSource::TopK before Index";
     OPENEA_CHECK_EQ(queries.cols(), dim());
     TopKResult result;
     result.rows = queries.rows();
@@ -329,8 +59,12 @@ class AnnIvfSource final : public CandidateSource {
     const size_t dim = this->dim();
     const size_t nprobe = std::min(config_.ivf_nprobe, num_lists_);
     const std::vector<float> query_norms =
-        config_.metric == DistanceMetric::kCosine ? RowNormsOf(queries)
-                                                  : std::vector<float>();
+        config_.metric == DistanceMetric::kCosine
+            ? detail::RowNorms(queries).value()
+            : std::vector<float>();
+    const math::RowBanks packed = packed_table_ != nullptr
+                                      ? math::RowBanks(*packed_table_)
+                                      : math::RowBanks(packed_);
     std::atomic<uint64_t> scanned{0};
     std::atomic<uint64_t> nan_cells{0};
     ParallelFor(0, queries.rows(), kQueryGrain, [&](size_t begin, size_t end) {
@@ -358,38 +92,20 @@ class AnnIvfSource final : public CandidateSource {
         size_t count = 0;
         for (size_t p = 0; p < probe_count; ++p) {
           const size_t list = static_cast<size_t>(probes[p].index);
-          const size_t lo = list_offsets_[list];
           const size_t hi = list_offsets_[list + 1];
-          if (lo == hi) continue;
-          local_scanned += hi - lo;
-          // Scan the list's packed slots, either from the in-RAM matrix or
-          // from the mapped banks of the spilled layout (a list may span a
-          // bank boundary, so the sharded branch walks sub-ranges). Cell
-          // values are independent of the batching, so both branches score
-          // identically.
-          size_t pos = lo;
-          while (pos < hi) {
-            const float* base;
-            size_t ldb;
-            size_t chunk_end;
-            math::ShardedEmbeddingTable::BankLease lease;
-            if (packed_sharded_) {
-              const size_t bank = packed_sharded_->BankOfRow(pos);
-              chunk_end = std::min(hi, packed_sharded_->BankFirstRow(bank) +
-                                           packed_sharded_->BankRows(bank));
-              auto mapped = packed_sharded_->MapBank(bank);
-              OPENEA_CHECK(mapped.ok()) << mapped.status().ToString();
-              lease = std::move(*mapped);
-              base = lease.RowValues(pos);
-              ldb = lease.stride();
-            } else {
-              chunk_end = hi;
-              base = packed_.Row(pos).data();
-              ldb = dim;
-            }
+          local_scanned += hi - list_offsets_[list];
+          // Scan the list's packed slots bank by bank: a list of the
+          // spilled layout may straddle a bank boundary. Cell values are
+          // independent of the batching, so the split does not change them.
+          for (size_t pos = list_offsets_[list]; pos < hi;) {
+            auto bank = packed.Lease(packed.BankOfRow(pos));
+            OPENEA_CHECK(bank.ok()) << bank.status().ToString();
+            const size_t chunk_end =
+                std::min(hi, bank->first_row() + bank->rows());
             cell_buf.resize(chunk_end - pos);
             detail::MetricRowBlock(
-                config_.metric, q.data(), nq, base, ldb,
+                config_.metric, q.data(), nq, bank->RowValues(pos),
+                bank->stride(),
                 packed_norms_.empty() ? nullptr : packed_norms_.data() + pos,
                 cell_buf.data(), chunk_end - pos, dim);
             for (size_t s = pos; s < chunk_end; ++s) {
@@ -428,17 +144,175 @@ class AnnIvfSource final : public CandidateSource {
   }
 
  private:
+  /// Seeded k-means over the indexed banks, then the packed list layout.
+  /// The Lloyd passes stream the banks in row order (one bank in RAM), so a
+  /// table and the matrix it was written from build the same index. The
+  /// only storage branch is where the packed layout goes: a matrix for an
+  /// in-RAM index, a `<table path>.ivfpack` sidecar table for a sharded one,
+  /// so the O(N) state a sharded build keeps resident is the id
+  /// permutation and the per-row norms.
+  Status Build() override {
+    telemetry::ScopedSpan span("ann_ivf_build");
+    const math::RowBanks rows = this->rows();
+    const size_t n = rows.rows();
+    const size_t dim = rows.dim();
+    const bool cosine = config_.metric == DistanceMetric::kCosine;
+
+    // ceil(sqrt(N)) lists by default: balances the `lists` centroid scan
+    // against the ~nprobe*N/lists list scan.
+    size_t lists = config_.ivf_lists;
+    if (lists == 0 && n > 0) {
+      lists = static_cast<size_t>(
+          std::ceil(std::sqrt(static_cast<double>(n))));
+    }
+    lists = std::min(std::max<size_t>(lists, 1), std::max<size_t>(n, 1));
+    num_lists_ = n > 0 ? lists : 0;
+
+    centroids_ = math::Matrix(num_lists_, dim);
+    packed_ = math::Matrix();
+    packed_table_.reset();
+    packed_ids_.assign(n, 0);
+    list_offsets_.assign(num_lists_ + 1, 0);
+    packed_norms_.clear();
+    centroid_norms_.clear();
+    if (n == 0) return Status::OK();
+
+    // Seeded k-means init: `lists` distinct rows, chosen by a deterministic
+    // shuffle of the row indices.
+    Rng rng(config_.seed);
+    std::vector<int> seeds(n);
+    std::iota(seeds.begin(), seeds.end(), 0);
+    rng.Shuffle(seeds);
+    RowReader reader(rows);
+    for (size_t c = 0; c < num_lists_; ++c) {
+      StatusOr<const float*> row = reader.Row(static_cast<size_t>(seeds[c]));
+      if (!row.ok()) return row.status();
+      std::copy(*row, *row + dim, centroids_.Row(c).begin());
+    }
+
+    // Lloyd iterations. Assignment runs in parallel (disjoint writes per
+    // point, ties toward the lower centroid id); the centroid update
+    // accumulates serially in row order — both deterministic at any thread
+    // count and any bank layout. The row norms serve every iteration and
+    // then the packed layout.
+    std::vector<float> row_norms;
+    if (cosine) {
+      StatusOr<std::vector<float>> norms = detail::RowNorms(rows);
+      if (!norms.ok()) return norms.status();
+      row_norms = *std::move(norms);
+    }
+    std::vector<int> assign(n, 0);
+    std::vector<float> centroid_norms;
+    for (int iter = 0; iter < config_.ivf_iters; ++iter) {
+      if (cosine) centroid_norms = detail::RowNorms(centroids_).value();
+      Status status = rows.ForEachBank([&](const math::RowBanks::Bank& bank) {
+        const size_t first = bank.first_row();
+        ParallelFor(first, first + bank.rows(), kQueryGrain,
+                    [&](size_t begin, size_t end) {
+          std::vector<float> sims(num_lists_);
+          for (size_t i = begin; i < end; ++i) {
+            detail::MetricRowBlock(
+                config_.metric, bank.RowValues(i),
+                cosine ? row_norms[i] : 0.0f, centroids_.Row(0).data(), dim,
+                centroid_norms.empty() ? nullptr : centroid_norms.data(),
+                sims.data(), num_lists_, dim);
+            int best = 0;
+            float best_value = sims[0];
+            for (size_t c = 1; c < num_lists_; ++c) {
+              // NaN sims never beat: the comparison is false, so the point
+              // stays on the lowest finite (or 0th) centroid.
+              if (sims[c] > best_value) {
+                best = static_cast<int>(c);
+                best_value = sims[c];
+              }
+            }
+            assign[i] = best;
+          }
+        });
+      });
+      if (!status.ok()) return status;
+      std::vector<double> sums(num_lists_ * dim, 0.0);
+      std::vector<uint32_t> counts(num_lists_, 0);
+      status = rows.ForEachBank([&](const math::RowBanks::Bank& bank) {
+        for (size_t i = bank.first_row(); i < bank.first_row() + bank.rows();
+             ++i) {
+          const float* row = bank.RowValues(i);
+          double* acc = sums.data() + static_cast<size_t>(assign[i]) * dim;
+          for (size_t d = 0; d < dim; ++d) acc[d] += row[d];
+          ++counts[static_cast<size_t>(assign[i])];
+        }
+      });
+      if (!status.ok()) return status;
+      for (size_t c = 0; c < num_lists_; ++c) {
+        if (counts[c] == 0) continue;  // Empty list keeps its centroid.
+        auto row = centroids_.Row(c);
+        const double* acc = sums.data() + c * dim;
+        for (size_t d = 0; d < dim; ++d) {
+          row[d] = static_cast<float>(acc[d] / counts[c]);
+        }
+      }
+    }
+
+    // Inverted-list layout: rows regrouped contiguously per list, members
+    // in ascending original id, so a probe is one batched kernel call per
+    // bank the list touches.
+    std::vector<uint32_t> counts(num_lists_, 0);
+    for (size_t i = 0; i < n; ++i) ++counts[static_cast<size_t>(assign[i])];
+    for (size_t c = 0; c < num_lists_; ++c) {
+      list_offsets_[c + 1] = list_offsets_[c] + counts[c];
+    }
+    std::vector<size_t> cursor(list_offsets_.begin(),
+                               list_offsets_.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      packed_ids_[cursor[static_cast<size_t>(assign[i])]++] =
+          static_cast<int>(i);
+    }
+    std::unique_ptr<math::ShardedTableWriter> writer;
+    if (table_ != nullptr) {
+      math::ShardedTableOptions pack_opts;
+      pack_opts.rows_per_bank = table_->rows_per_bank();
+      auto created = math::ShardedTableWriter::Create(
+          table_->path() + ".ivfpack", n, dim, pack_opts);
+      if (!created.ok()) return created.status();
+      writer = *std::move(created);
+    } else {
+      packed_ = math::Matrix(n, dim);
+    }
+    for (size_t slot = 0; slot < n; ++slot) {
+      const size_t id = static_cast<size_t>(packed_ids_[slot]);
+      if (cosine) packed_norms_.push_back(row_norms[id]);
+      StatusOr<const float*> row = reader.Row(id);
+      if (!row.ok()) return row.status();
+      const std::span<const float> values(*row, dim);
+      if (writer == nullptr) {
+        std::copy(values.begin(), values.end(), packed_.Row(slot).begin());
+        continue;
+      }
+      const Status appended = writer->AppendRow(values);
+      if (!appended.ok()) return appended;
+    }
+    if (writer != nullptr) {
+      const Status finalized = writer->Finalize();
+      if (!finalized.ok()) return finalized;
+      auto packed = math::ShardedEmbeddingTable::Open(table_->path() +
+                                                      ".ivfpack");
+      if (!packed.ok()) return packed.status();
+      packed_table_ = *std::move(packed);
+      telemetry::IncrCounter("cand/ann_ivf/sharded_builds");
+    }
+    if (cosine) centroid_norms_ = detail::RowNorms(centroids_).value();
+    telemetry::SetGauge("ann/lists", static_cast<double>(num_lists_));
+    return Status::OK();
+  }
+
   size_t num_lists_ = 0;
   math::Matrix centroids_;
   /// Target rows regrouped contiguously per list (ascending original id
   /// within a list); packed_ids_[slot] maps back to the original row.
   /// In-RAM builds fill packed_; sharded builds spill the same layout to
-  /// packed_sharded_ (a `<source path>.ivfpack` sidecar) instead.
+  /// packed_table_ (a `<table path>.ivfpack` sidecar) instead.
   math::Matrix packed_;
-  std::shared_ptr<math::ShardedEmbeddingTable> packed_sharded_;
-  bool sharded_build_ = false;
-  size_t sharded_rows_ = 0;
-  size_t sharded_dim_ = 0;
+  std::shared_ptr<math::ShardedEmbeddingTable> packed_table_;
   std::vector<int> packed_ids_;
   std::vector<size_t> list_offsets_;  // num_lists_ + 1 entries.
   std::vector<float> packed_norms_;    // Cosine only.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/align/candidate_source.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/math/vec.h"
@@ -46,9 +45,9 @@ void LshBlocker::Index(const math::Matrix& targets) {
 }
 
 std::vector<int> LshBlocker::Candidates(std::span<const float> query) const {
-  // Sorted + deduplicated, NOT hash-set iteration order: downstream
-  // consumers (LshSource, BlockedGreedyMatch) break score ties by candidate
-  // order, so the union must be a deterministic function of the buckets.
+  // Sorted + deduplicated, NOT hash-set iteration order: LshSource breaks
+  // score ties by candidate order, so the union must be a deterministic
+  // function of the buckets.
   std::vector<int> out;
   for (int t = 0; t < num_tables_; ++t) {
     auto it = tables_[t].find(Signature(query, t));
@@ -58,23 +57,6 @@ std::vector<int> LshBlocker::Candidates(std::span<const float> query) const {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-std::vector<int> BlockedGreedyMatch(const math::Matrix& src,
-                                    const math::Matrix& tgt, int bits,
-                                    int num_tables, uint64_t seed) {
-  CandidateSourceConfig config;
-  config.kind = CandidateSourceKind::kLsh;
-  config.metric = DistanceMetric::kCosine;
-  config.lsh_bits = bits;
-  config.lsh_tables = num_tables;
-  config.seed = seed;
-  std::unique_ptr<CandidateSource> source = CreateCandidateSourceOrDie(config);
-  OPENEA_CHECK(source->Index(tgt).ok());
-  const TopKResult top1 = source->TopK(src, 1);
-  std::vector<int> match(src.rows(), -1);
-  for (size_t i = 0; i < src.rows(); ++i) match[i] = top1.BestIndex(i);
-  return match;
 }
 
 }  // namespace openea::align

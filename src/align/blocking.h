@@ -42,18 +42,6 @@ class LshBlocker {
   std::vector<std::unordered_map<uint64_t, std::vector<int>>> tables_;
 };
 
-/// Greedy nearest-neighbour matching restricted to LSH candidates:
-/// match[i] = argmax over Candidates(src row i) of cosine similarity, or
-/// -1 when the block is empty. Sub-quadratic in practice, trading a little
-/// recall for speed — quantified by bench_scalability.
-///
-/// Deprecated shim: routes through the kLsh CandidateSource
-/// (candidate_source.h) so all call sites share one candidate-generation
-/// path; new code should create the source directly.
-std::vector<int> BlockedGreedyMatch(const math::Matrix& src,
-                                    const math::Matrix& tgt, int bits,
-                                    int num_tables, uint64_t seed);
-
 }  // namespace openea::align
 
 #endif  // OPENEA_ALIGN_BLOCKING_H_

@@ -10,7 +10,6 @@
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
-#include "src/math/vec.h"
 
 namespace openea::align {
 namespace {
@@ -20,28 +19,10 @@ namespace {
 /// thread count.
 constexpr size_t kQueryGrain = 8;
 
-/// One similarity cell through the shared kernel, same as topk.cc's Cell.
-inline float ScoreCell(DistanceMetric metric, std::span<const float> a,
-                       float na, std::span<const float> b, float nb) {
-  float out = 0.0f;
-  detail::MetricRowBlock(metric, a.data(), na, b.data(), b.size(), &nb, &out,
-                         1, a.size());
-  return out;
-}
-
-std::vector<float> RowNormsOf(const math::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  ParallelFor(0, m.rows(), 0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) norms[i] = math::L2Norm(m.Row(i));
-  });
-  return norms;
-}
-
 /// Exhaustive source: every target is a candidate, so TopK is exactly
-/// `StreamingTopK` — bit-identical to the dense SimilarityMatrix path at
-/// any thread count, including the CSLS mode. With a sharded index the scan
-/// runs through `ShardedTopK` (same cell kernel, same selection order, so
-/// still bit-identical — CSLS excepted, which needs every cell in RAM).
+/// `StreamingTopK` over the indexed banks — bit-identical to the dense
+/// SimilarityMatrix path at any thread count, in RAM or on disk, including
+/// the CSLS mode in RAM.
 class ExactTopKSource final : public CandidateSource {
  public:
   explicit ExactTopKSource(const CandidateSourceConfig& config)
@@ -50,43 +31,15 @@ class ExactTopKSource final : public CandidateSource {
   const char* Name() const override { return "exact"; }
   bool csls() const override { return config_.csls; }
 
-  Status Index(const math::Matrix& targets) override {
-    targets_ = targets;
-    sharded_.reset();
-    indexed_ = true;
-    return Status::OK();
-  }
-
-  Status IndexSharded(
-      std::shared_ptr<const math::ShardedEmbeddingTable> table) override {
-    if (config_.csls) {
-      return Status::InvalidArgument(
-          "csls requires an in-RAM exact index (the CSLS psi terms need "
-          "every similarity cell); index via Index() instead");
-    }
-    sharded_ = std::move(table);
-    targets_ = math::Matrix();
-    indexed_ = true;
-    return Status::OK();
-  }
-
-  size_t num_targets() const override {
-    return sharded_ ? sharded_->num_rows() : targets_.rows();
-  }
-  size_t dim() const override {
-    return sharded_ ? sharded_->dim() : targets_.cols();
-  }
-
   TopKResult TopK(const math::Matrix& queries, size_t k) const override {
-    OPENEA_CHECK(indexed_) << "ExactTopKSource::TopK before Index";
+    OPENEA_CHECK(indexed()) << "ExactTopKSource::TopK before Index";
     OPENEA_CHECK_EQ(queries.cols(), dim());
     TopKOptions options;
     options.k = k;
     options.metric = config_.metric;
     options.csls = config_.csls;
     options.csls_k = config_.csls_k;
-    TopKResult result = sharded_ ? ShardedTopK(queries, *sharded_, options)
-                                 : StreamingTopK(queries, targets_, options);
+    TopKResult result = StreamingTopK(queries, rows(), options);
     telemetry::IncrCounter("cand/exact/queries", queries.rows());
     telemetry::IncrCounter("cand/exact/scanned",
                            queries.rows() * num_targets());
@@ -94,7 +47,14 @@ class ExactTopKSource final : public CandidateSource {
   }
 
  private:
-  std::shared_ptr<const math::ShardedEmbeddingTable> sharded_;
+  Status Build() override {
+    if (config_.csls && table_ != nullptr) {
+      return Status::InvalidArgument(
+          "csls requires an in-RAM exact index (the CSLS psi terms need "
+          "every similarity cell); index via Index() instead");
+    }
+    return Status::OK();
+  }
 };
 
 /// LSH source: candidates are the deterministic (ascending-id) bucket
@@ -108,21 +68,8 @@ class LshSource final : public CandidateSource {
 
   const char* Name() const override { return "lsh"; }
 
-  Status Index(const math::Matrix& targets) override {
-    targets_ = targets;
-    blocker_ = std::make_unique<LshBlocker>(
-        targets.cols() > 0 ? targets.cols() : 1, config_.lsh_bits,
-        config_.lsh_tables, config_.seed);
-    if (targets.cols() > 0) blocker_->Index(targets_);
-    if (config_.metric == DistanceMetric::kCosine) {
-      tgt_norms_ = RowNormsOf(targets_);
-    }
-    indexed_ = true;
-    return Status::OK();
-  }
-
   TopKResult TopK(const math::Matrix& queries, size_t k) const override {
-    OPENEA_CHECK(indexed_) << "LshSource::TopK before Index";
+    OPENEA_CHECK(indexed()) << "LshSource::TopK before Index";
     OPENEA_CHECK_EQ(queries.cols(), targets_.cols());
     TopKResult result;
     result.rows = queries.rows();
@@ -132,8 +79,9 @@ class LshSource final : public CandidateSource {
 
     telemetry::ScopedSpan span("lsh_topk");
     const std::vector<float> query_norms =
-        config_.metric == DistanceMetric::kCosine ? RowNormsOf(queries)
-                                                  : std::vector<float>();
+        config_.metric == DistanceMetric::kCosine
+            ? detail::RowNorms(queries).value()
+            : std::vector<float>();
     std::atomic<uint64_t> scanned{0};
     std::atomic<uint64_t> nan_cells{0};
     ParallelFor(0, queries.rows(), kQueryGrain, [&](size_t begin, size_t end) {
@@ -148,8 +96,9 @@ class LshSource final : public CandidateSource {
           const float nb = tgt_norms_.empty()
                                ? 0.0f
                                : tgt_norms_[static_cast<size_t>(cand)];
-          const float v = ScoreCell(config_.metric, q,
-                                    nq, targets_.Row(cand), nb);
+          const float v =
+              detail::MetricCell(config_.metric, q.data(), nq,
+                                 targets_.Row(cand).data(), nb, q.size());
           ++local_scanned;
           if (std::isnan(v)) {
             ++local_nan;
@@ -178,26 +127,48 @@ class LshSource final : public CandidateSource {
   }
 
  private:
+  Status Build() override {
+    if (table_ != nullptr) {
+      // The blocker hashes every row in RAM: materialize the table.
+      StatusOr<math::Matrix> matrix = table_->ToMatrix();
+      if (!matrix.ok()) return matrix.status();
+      targets_ = *std::move(matrix);
+      table_.reset();
+    }
+    blocker_ = std::make_unique<LshBlocker>(
+        targets_.cols() > 0 ? targets_.cols() : 1, config_.lsh_bits,
+        config_.lsh_tables, config_.seed);
+    if (targets_.cols() > 0) blocker_->Index(targets_);
+    tgt_norms_ = config_.metric == DistanceMetric::kCosine
+                     ? detail::RowNorms(targets_).value()
+                     : std::vector<float>();
+    return Status::OK();
+  }
+
   std::unique_ptr<LshBlocker> blocker_;
   std::vector<float> tgt_norms_;
 };
 
 }  // namespace
 
-Status CandidateSource::IndexSharded(
-    std::shared_ptr<const math::ShardedEmbeddingTable> table) {
-  // Default: materialize and index in RAM. Sources that can stream bank by
-  // bank (exact, IVF) override this.
-  StatusOr<math::Matrix> matrix = table->ToMatrix();
-  if (!matrix.ok()) return matrix.status();
-  return Index(*matrix);
+Status CandidateSource::Index(const math::Matrix& targets) {
+  table_.reset();
+  targets_ = targets;
+  return BuildIndex();
 }
 
-Status CandidateSource::IndexShardedFile(const std::string& path) {
-  StatusOr<std::shared_ptr<math::ShardedEmbeddingTable>> table =
-      math::ShardedEmbeddingTable::Open(path);
-  if (!table.ok()) return table.status();
-  return IndexSharded(std::move(*table));
+Status CandidateSource::IndexSharded(
+    std::shared_ptr<const math::ShardedEmbeddingTable> table) {
+  targets_ = math::Matrix();
+  table_ = std::move(table);
+  return BuildIndex();
+}
+
+Status CandidateSource::BuildIndex() {
+  indexed_ = false;
+  const Status built = Build();
+  indexed_ = built.ok();
+  return built;
 }
 
 const char* CandidateSourceKindName(CandidateSourceKind kind) {

@@ -9,6 +9,7 @@
 #include "src/align/topk.h"
 #include "src/common/status.h"
 #include "src/math/matrix.h"
+#include "src/math/sharded_table.h"
 
 namespace openea::align {
 
@@ -76,7 +77,10 @@ struct CandidateSourceConfig {
   Status Validate() const;
 };
 
-/// Abstract candidate generator over a fixed target embedding set.
+/// Abstract candidate generator over a fixed target embedding set. The base
+/// owns the indexed targets (an in-RAM copy or a shared on-disk table) and
+/// hands them to the sources as math::RowBanks, so each source builds and
+/// scans with one code path for both storages.
 class CandidateSource {
  public:
   virtual ~CandidateSource() = default;
@@ -89,20 +93,17 @@ class CandidateSource {
   /// private copy of `targets`, so the caller's matrix may be freed. An
   /// empty matrix is a valid (degenerate) index: every query then returns
   /// all-padding rows.
-  virtual Status Index(const math::Matrix& targets) = 0;
+  Status Index(const math::Matrix& targets);
 
   /// Builds the index over a shard-banked on-disk table
-  /// (src/math/sharded_table.h) instead of an in-RAM matrix. The base
-  /// implementation materializes the table and delegates to Index(); the
-  /// exact and IVF sources override it to stream bank by bank, so serving a
-  /// 100K+ table never holds all rows in RAM at once. Scores are
-  /// bit-identical to the in-RAM index (pinned by
-  /// tests/sharded_table_test.cc).
-  virtual Status IndexSharded(
+  /// (src/math/sharded_table.h), shared instead of copied. The exact and IVF
+  /// sources run the same build and scan as for Index() over the table's
+  /// banks (the IVF packed layout spills to a `<path>.ivfpack` sidecar), so
+  /// serving a 100K+ table never holds all rows in RAM and the scores equal
+  /// the in-RAM index's. LSH materializes the table (its blocker hashes
+  /// rows in RAM). The exact source refuses csls here.
+  Status IndexSharded(
       std::shared_ptr<const math::ShardedEmbeddingTable> table);
-
-  /// Convenience: ShardedEmbeddingTable::Open(path) + IndexSharded.
-  Status IndexShardedFile(const std::string& path);
 
   /// Per-query-row top-k candidates (value desc, index asc, padded with
   /// {-inf, -1}). `queries` must have dim() columns; requires Index() first.
@@ -117,24 +118,38 @@ class CandidateSource {
   DistanceMetric metric() const { return config_.metric; }
 
   bool indexed() const { return indexed_; }
-  /// Virtual so sharded-indexed sources report the on-disk table's shape
-  /// (targets() is then empty: there is no in-RAM matrix to hand out).
-  virtual size_t num_targets() const { return targets_.rows(); }
-  virtual size_t dim() const { return targets_.cols(); }
+  /// Shape of the indexed targets, in RAM or on disk.
+  size_t num_targets() const { return rows().rows(); }
+  size_t dim() const { return rows().dim(); }
 
-  /// The indexed target embeddings (row order preserved). Lets dense-only
+  /// The targets of an in-RAM index (row order preserved). Lets dense-only
   /// consumers — stable marriage, Kuhn-Munkres — materialize the full
   /// similarity structure from the same data the source scans. Empty after
-  /// IndexSharded on sources that stream from disk (use num_targets()/dim()
-  /// for shape queries).
+  /// IndexSharded on the exact and IVF sources, which leave the rows on
+  /// disk (use num_targets()/dim() for shape queries).
   const math::Matrix& targets() const { return targets_; }
 
  protected:
   explicit CandidateSource(const CandidateSourceConfig& config)
       : config_(config) {}
 
+  /// Builds the index over rows(); Index and IndexSharded store the targets
+  /// and then call this.
+  virtual Status Build() = 0;
+
+  /// The indexed targets as banks: the in-RAM copy (one bank) or the table.
+  math::RowBanks rows() const {
+    return table_ != nullptr ? math::RowBanks(*table_)
+                             : math::RowBanks(targets_);
+  }
+
   CandidateSourceConfig config_;
   math::Matrix targets_;
+  std::shared_ptr<const math::ShardedEmbeddingTable> table_;
+
+ private:
+  Status BuildIndex();
+
   bool indexed_ = false;
 };
 

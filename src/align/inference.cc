@@ -229,20 +229,4 @@ std::vector<int> InferAlignment(const CandidateSource& source,
   }
 }
 
-std::vector<int> InferAlignment(const math::Matrix& src_emb,
-                                const math::Matrix& tgt_emb,
-                                DistanceMetric metric,
-                                InferenceStrategy strategy, int csls_k) {
-  // Deprecated shim: one-shot exact source. The index copy is cheap (the
-  // exact source has no build step); callers that reuse targets should
-  // hold a CandidateSource instead.
-  CandidateSourceConfig config;
-  config.metric = metric;
-  config.csls = strategy == InferenceStrategy::kGreedyCsls;
-  config.csls_k = csls_k;
-  std::unique_ptr<CandidateSource> source = CreateCandidateSourceOrDie(config);
-  OPENEA_CHECK(source->Index(tgt_emb).ok());
-  return InferAlignment(*source, src_emb, strategy, csls_k);
-}
-
 }  // namespace openea::align

@@ -54,16 +54,6 @@ std::vector<int> InferAlignment(const CandidateSource& source,
                                 const math::Matrix& queries,
                                 InferenceStrategy strategy, int csls_k = 10);
 
-/// Streaming overload: infers the alignment straight from the row
-/// embeddings. Deprecated shim over the candidate-source overload with an
-/// exact source — bit-identical to the historical dense/streaming paths;
-/// new code should build a CandidateSource and reuse its index across
-/// calls.
-std::vector<int> InferAlignment(const math::Matrix& src_emb,
-                                const math::Matrix& tgt_emb,
-                                DistanceMetric metric,
-                                InferenceStrategy strategy, int csls_k = 10);
-
 }  // namespace openea::align
 
 #endif  // OPENEA_ALIGN_INFERENCE_H_

@@ -29,6 +29,32 @@ void MetricRowBlock(DistanceMetric metric, const float* a, float na,
   MetricRowScan(metric, a, na, b, ldb, tgt_norms, out, count, n, {}, nullptr);
 }
 
+float MetricCell(DistanceMetric metric, const float* a, float na,
+                 const float* b, float nb, size_t n) {
+  float out = 0.0f;
+  MetricRowBlock(metric, a, na, b, n, &nb, &out, 1, n);
+  return out;
+}
+
+StatusOr<std::vector<float>> RowNorms(const math::RowBanks& rows) {
+  std::vector<float> norms(rows.rows());
+  const size_t dim = rows.dim();
+  // A matrix splits by the pool's auto grain, a table bank into 64-row
+  // chunks: the job layouts the bench_diff gates pin (parallel/chunks).
+  const size_t grain = rows.table() != nullptr ? 64 : 0;
+  const Status status =
+      rows.ForEachBank([&](const math::RowBanks::Bank& bank) {
+        ParallelFor(0, bank.rows(), grain, [&](size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r) {
+            norms[bank.first_row() + r] = math::L2Norm(std::span<const float>(
+                bank.values() + r * bank.stride(), dim));
+          }
+        });
+      });
+  if (!status.ok()) return status;
+  return norms;
+}
+
 void MetricRowScan(DistanceMetric metric, const float* a, float na,
                    const float* b, size_t ldb, const float* tgt_norms,
                    float* out, size_t count, size_t n,
@@ -64,21 +90,6 @@ void MetricRowScan(DistanceMetric metric, const float* a, float na,
 
 }  // namespace detail
 
-namespace {
-
-/// Per-row L2 norms (cosine only). Pure per-row, so hoisting them out of
-/// the cell loop is bit-identical to the per-pair norms the old dense path
-/// computed inside math::CosineSimilarity.
-std::vector<float> MatrixRowNorms(const math::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  ParallelFor(0, m.rows(), 0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) norms[i] = math::L2Norm(m.Row(i));
-  });
-  return norms;
-}
-
-}  // namespace
-
 math::Matrix SimilarityMatrix(const math::Matrix& src,
                               const math::Matrix& tgt,
                               DistanceMetric metric) {
@@ -89,8 +100,8 @@ math::Matrix SimilarityMatrix(const math::Matrix& src,
   std::vector<float> tgt_norms;
   std::vector<float> src_norms;
   if (metric == DistanceMetric::kCosine) {
-    src_norms = MatrixRowNorms(src);
-    tgt_norms = MatrixRowNorms(tgt);
+    src_norms = detail::RowNorms(src).value();
+    tgt_norms = detail::RowNorms(tgt).value();
   }
   // Row-parallel: every similarity cell is written exactly once, so the
   // result is bit-identical at any thread count. Each output row is one

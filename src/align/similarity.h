@@ -1,8 +1,12 @@
 #ifndef OPENEA_ALIGN_SIMILARITY_H_
 #define OPENEA_ALIGN_SIMILARITY_H_
 
+#include <vector>
+
+#include "src/common/status.h"
 #include "src/math/kernels.h"
 #include "src/math/matrix.h"
+#include "src/math/sharded_table.h"
 
 namespace openea::align {
 
@@ -41,6 +45,18 @@ namespace detail {
 void MetricRowBlock(DistanceMetric metric, const float* a, float na,
                     const float* b, size_t ldb, const float* tgt_norms,
                     float* out, size_t count, size_t n);
+
+/// One similarity cell: MetricRowBlock with a block of one, so it equals
+/// the cell a scan computes for the same pair bit for bit. `nb` is b's L2
+/// norm (cosine only).
+float MetricCell(DistanceMetric metric, const float* a, float na,
+                 const float* b, float nb, size_t n);
+
+/// L2 norm of every row, in row order: the norms cosine caches. L2Norm is a
+/// pure per-row function, so the cached norm equals the per-pair norm of
+/// `math::CosineSimilarity` bit for bit, whichever bank a row sits in. Walks
+/// the banks in order; fails only when a table bank does not map.
+StatusOr<std::vector<float>> RowNorms(const math::RowBanks& rows);
 
 /// MetricRowBlock plus the rest of a scan tile: `scan` carries the CSLS,
 /// true-column and top-k admission fields of the dispatched scan epilogue

@@ -8,7 +8,6 @@
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
-#include "src/math/vec.h"
 
 namespace openea::align {
 namespace {
@@ -26,19 +25,6 @@ constexpr size_t kDefaultColBlock = 256;
 constexpr size_t kPsiBands = 8;
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-/// One similarity cell through the shared block kernel
-/// (detail::MetricRowBlock, similarity.h) with a block of one — the same
-/// code path the dense `SimilarityMatrix` and the blocked scans below use,
-/// so the float result is bit-identical. For cosine the two L2 norms are
-/// cached by the caller; they are pure functions of each row.
-inline float Cell(DistanceMetric metric, std::span<const float> a,
-                  std::span<const float> b, float na, float nb) {
-  float out = 0.0f;
-  detail::MetricRowBlock(metric, a.data(), na, b.data(), b.size(), &nb, &out,
-                         1, a.size());
-  return out;
-}
 
 /// The CSLS adjustment, evaluated with the same float expression (and
 /// operation order) as `ApplyCsls`: 2 sim - psi_src - psi_tgt.
@@ -143,22 +129,12 @@ inline float MeanDescending(const float* vals, uint32_t count) {
   return sum / static_cast<float>(count);
 }
 
-/// Per-row L2 norms (cosine only); pure per-row, so precomputing once is
-/// bit-identical to the per-pair norms of `math::CosineSimilarity`.
-std::vector<float> RowNorms(const math::Matrix& m) {
-  std::vector<float> norms(m.rows());
-  ParallelFor(0, m.rows(), 0, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) norms[i] = math::L2Norm(m.Row(i));
-  });
-  return norms;
-}
-
-/// Pass one of streaming CSLS: one scan over all cells fills psi_src (mean
-/// top-k similarity of each source row) directly and per-column top-k value
-/// buffers local to a fixed band layout; a second, cheap pass merges the
-/// band buffers per column into psi_tgt. Nothing of size rows x cols is
-/// ever allocated.
-void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
+/// Pass one of streaming CSLS over the targets' one bank: one scan over all
+/// cells fills psi_src (mean top-k similarity of each source row) directly
+/// and per-column top-k value buffers local to a fixed band layout; a
+/// second, cheap pass merges the band buffers per column into psi_tgt.
+/// Nothing of size rows x cols is ever allocated.
+void ComputeCslsPsi(const math::Matrix& src, const math::RowBanks::Bank& tgt,
                     DistanceMetric metric, int csls_k, size_t col_block,
                     const std::vector<float>& src_norms,
                     const std::vector<float>& tgt_norms,
@@ -205,9 +181,9 @@ void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
           uint32_t& rcount = row_counts[i - row_begin];
           // One batched kernel call per (row, column tile).
           detail::MetricRowBlock(
-              metric, a.data(), na, tgt.Row(jb).data(), tgt.cols(),
+              metric, a.data(), na, tgt.RowValues(jb), tgt.stride(),
               tgt_norms.empty() ? nullptr : tgt_norms.data() + jb,
-              cell_buf.data(), je - jb, tgt.cols());
+              cell_buf.data(), je - jb, src.cols());
           for (size_t j = jb; j < je; ++j) {
             const float s = cell_buf[j - jb];
             if (std::isnan(s)) {
@@ -256,11 +232,16 @@ void ComputeCslsPsi(const math::Matrix& src, const math::Matrix& tgt,
 
 }  // namespace
 
-TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
+TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
                          const TopKOptions& options) {
-  OPENEA_CHECK_EQ(src.cols(), tgt.cols());
+  OPENEA_CHECK_EQ(src.cols(), tgt.dim());
+  // The psi pass scans every cell of one bank (see the header).
+  OPENEA_CHECK(!options.csls || tgt.num_banks() <= 1)
+      << "CSLS needs the targets in one bank";
   const size_t rows = src.rows();
   const size_t cols = tgt.rows();
+  const size_t dim = tgt.dim();
+  const size_t k = options.k;
   const bool has_true = !options.true_cols.empty();
   if (has_true) OPENEA_CHECK_EQ(options.true_cols.size(), rows);
   const size_t col_block =
@@ -268,8 +249,8 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
 
   TopKResult result;
   result.rows = rows;
-  result.k = options.k;
-  result.entries.assign(rows * options.k, TopKEntry{});
+  result.k = k;
+  result.entries.assign(rows * k, TopKEntry{});
   if (has_true) {
     result.true_sim.assign(rows, 0.0f);
     result.num_greater.assign(rows, 0);
@@ -277,227 +258,109 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
   }
   if (rows == 0) return result;
 
-  telemetry::ScopedSpan span("streaming_topk");
+  telemetry::ScopedSpan span(tgt.table() != nullptr ? "sharded_topk"
+                                                    : "streaming_topk");
   telemetry::IncrCounter("align/topk_rows", rows);
+
+  // Every walk over the targets leases their banks in order, the next one
+  // prefetched; a bank that fails to map (torn or corrupt) is fatal here.
+  auto for_each_bank = [&](auto&& fn) {
+    const Status status = tgt.ForEachBank(fn);
+    OPENEA_CHECK(status.ok()) << status.ToString();
+  };
 
   std::vector<float> src_norms, tgt_norms;
   if (options.metric == DistanceMetric::kCosine) {
-    src_norms = RowNorms(src);
-    tgt_norms = RowNorms(tgt);
+    src_norms = detail::RowNorms(src).value();
+    StatusOr<std::vector<float>> norms = detail::RowNorms(tgt);
+    OPENEA_CHECK(norms.ok()) << norms.status().ToString();
+    tgt_norms = *std::move(norms);
   }
 
   std::atomic<uint64_t> nan_cells{0};
-  std::atomic<uint64_t> nan_true{0};
-
   std::vector<float> psi_src, psi_tgt;
   if (options.csls) {
     telemetry::ScopedSpan psi_span("topk_psi");
-    ComputeCslsPsi(src, tgt, options.metric, options.csls_k, col_block,
-                   src_norms, tgt_norms, psi_src, psi_tgt, nan_cells);
-  }
-
-  {
-    telemetry::ScopedSpan scan_span("topk_scan");
-    ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
-      std::vector<TopKEntry> heap(options.k);
-      std::vector<float> cell_buf(std::min(col_block, cols));
-      uint64_t local_nan = 0;
-      uint64_t local_nan_true = 0;
-      uint64_t local_blocks = 0;
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const auto a = src.Row(i);
-        const float na = src_norms.empty() ? 0.0f : src_norms[i];
-        const float psi_i = options.csls ? psi_src[i] : 0.0f;
-        int true_col = -1;
-        float true_val = 0.0f;
-        bool true_is_nan = false;
-        if (has_true) {
-          true_col = options.true_cols[i];
-          OPENEA_CHECK_LT(static_cast<size_t>(true_col), cols);
-          const float raw =
-              Cell(options.metric, a, tgt.Row(true_col), na,
-                   tgt_norms.empty() ? 0.0f : tgt_norms[true_col]);
-          true_val = options.csls
-                         ? CslsAdjust(raw, psi_i, psi_tgt[true_col])
-                         : raw;
-          true_is_nan = std::isnan(true_val);
-          result.true_sim[i] = true_val;
-        }
-        size_t count = 0;
-        RowSelection sel;
-        sel.ents = heap.data();
-        sel.count = &count;
-        sel.k = options.k;
-        math::kernels::ScanEpilogue scan;
-        scan.psi_src = psi_i;
-        scan.count_true = has_true;
-        scan.true_val = true_val;
-        math::kernels::ScanCounts tally;
-        local_blocks += ScanRowTiles(
-            options.metric, a.data(), na, tgt.cols(), tgt.Data().data(),
-            tgt.cols(), tgt_norms.empty() ? nullptr : tgt_norms.data(),
-            options.csls ? psi_tgt.data() : nullptr, cols, 0, col_block,
-            true_col, scan, options.k > 0 ? &sel : nullptr, cell_buf.data(),
-            &tally);
-        local_nan += tally.nan;
-        uint32_t greater = tally.greater, ties = tally.ties;
-        if (options.k > 0) {
-          TopKEntry* out = result.entries.data() + i * options.k;
-          for (size_t t = 0; t < count; ++t) out[t] = heap[t];
-        }
-        if (has_true) {
-          if (true_is_nan) {
-            // Deterministic worst-case rank for a NaN-poisoned true pair —
-            // the dense comparisons would silently report rank 1.
-            ++local_nan_true;
-            greater = static_cast<uint32_t>(cols);
-            ties = 0;
-          }
-          result.num_greater[i] = greater;
-          result.num_ties[i] = ties;
-        }
-      }
-      if (local_nan > 0) {
-        nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
-      }
-      if (local_nan_true > 0) {
-        nan_true.fetch_add(local_nan_true, std::memory_order_relaxed);
-      }
-      telemetry::IncrCounter("align/topk_blocks", local_blocks);
+    for_each_bank([&](const math::RowBanks::Bank& bank) {
+      ComputeCslsPsi(src, bank, options.metric, options.csls_k, col_block,
+                     src_norms, tgt_norms, psi_src, psi_tgt, nan_cells);
     });
   }
 
-  result.nan_cells = nan_cells.load(std::memory_order_relaxed);
-  if (result.nan_cells > 0) {
-    telemetry::IncrCounter("align/topk_nan_cells", result.nan_cells);
+  // Row i's (CSLS-adjusted) true-column cell, read from `bank`.
+  auto true_cell = [&](size_t i, const math::RowBanks::Bank& bank) {
+    const size_t true_col = static_cast<size_t>(options.true_cols[i]);
+    const float raw = detail::MetricCell(
+        options.metric, src.Row(i).data(),
+        src_norms.empty() ? 0.0f : src_norms[i], bank.RowValues(true_col),
+        tgt_norms.empty() ? 0.0f : tgt_norms[true_col], dim);
+    return options.csls ? CslsAdjust(raw, psi_src[i], psi_tgt[true_col])
+                        : raw;
+  };
+  // The scan counts against each row's true cell from the first bank on,
+  // so a table's true cells come first: one pass over the banks, rows
+  // grouped by the bank holding their true column. A matrix's one bank
+  // holds every true column, so its scan computes them in the row loop.
+  // Same float either way; each storage keeps the ParallelFor job layout
+  // that the bench_diff gates pin (parallel/jobs, parallel/chunks).
+  const bool true_in_scan = tgt.table() == nullptr;
+  for (size_t i = 0; has_true && i < rows; ++i) {
+    OPENEA_CHECK_LT(static_cast<size_t>(options.true_cols[i]), cols);
   }
-  const uint64_t nan_true_total = nan_true.load(std::memory_order_relaxed);
-  if (nan_true_total > 0) {
-    telemetry::IncrCounter("align/topk_nan_true", nan_true_total);
-  }
-  return result;
-}
-
-TopKResult ShardedTopK(const math::Matrix& src,
-                       const math::ShardedEmbeddingTable& tgt,
-                       const TopKOptions& options) {
-  OPENEA_CHECK_EQ(src.cols(), tgt.dim());
-  OPENEA_CHECK(!options.csls);  // See the header: stream callers rank raw.
-  const size_t rows = src.rows();
-  const size_t cols = tgt.num_rows();
-  const size_t dim = tgt.dim();
-  const size_t stride = tgt.row_stride();
-  const bool has_true = !options.true_cols.empty();
-  if (has_true) OPENEA_CHECK_EQ(options.true_cols.size(), rows);
-  const size_t col_block =
-      options.col_block > 0 ? options.col_block : kDefaultColBlock;
-
-  TopKResult result;
-  result.rows = rows;
-  result.k = options.k;
-  result.entries.assign(rows * options.k, TopKEntry{});
-  if (has_true) {
-    result.true_sim.assign(rows, 0.0f);
-    result.num_greater.assign(rows, 0);
-    result.num_ties.assign(rows, 0);
-  }
-  if (rows == 0) return result;
-
-  telemetry::ScopedSpan span("sharded_topk");
-  telemetry::IncrCounter("align/topk_rows", rows);
-
-  std::vector<float> src_norms, tgt_norms;
-  const bool cosine = options.metric == DistanceMetric::kCosine;
-  if (cosine) {
-    src_norms = RowNorms(src);
-    tgt_norms.resize(cols);
-  }
-
-  std::atomic<uint64_t> nan_cells{0};
-  uint64_t nan_true = 0;
-
-  // Group source rows by the bank holding their true column, so the
-  // true-cell pass maps each bank once.
-  std::vector<std::vector<uint32_t>> true_rows_by_bank;
-  if (has_true) {
-    true_rows_by_bank.resize(tgt.num_banks());
+  if (has_true && !true_in_scan) {
+    std::vector<std::vector<uint32_t>> true_rows_by_bank(tgt.num_banks());
     for (size_t i = 0; i < rows; ++i) {
-      const int true_col = options.true_cols[i];
-      OPENEA_CHECK_LT(static_cast<size_t>(true_col), cols);
-      true_rows_by_bank[tgt.BankOfRow(static_cast<size_t>(true_col))]
+      true_rows_by_bank[tgt.BankOfRow(static_cast<size_t>(
+                            options.true_cols[i]))]
           .push_back(static_cast<uint32_t>(i));
     }
+    for_each_bank([&](const math::RowBanks::Bank& bank) {
+      const std::vector<uint32_t>& group =
+          true_rows_by_bank[tgt.BankOfRow(bank.first_row())];
+      ParallelFor(0, group.size(), 64, [&](size_t begin, size_t end) {
+        for (size_t g = begin; g < end; ++g) {
+          result.true_sim[group[g]] = true_cell(group[g], bank);
+        }
+      });
+    });
   }
 
-  // Pass 1 over banks: per-row target norms (cosine) and true-column cells.
-  // L2Norm is a pure per-row function, so precomputing from the mapped bank
-  // is bit-identical to RowNorms over the materialized matrix.
-  if (cosine || has_true) {
-    for (size_t b = 0; b < tgt.num_banks(); ++b) {
-      if (b + 1 < tgt.num_banks()) tgt.Prefetch(b + 1);
-      auto lease = tgt.MapBank(b);
-      OPENEA_CHECK(lease.ok());
-      if (cosine) {
-        ParallelFor(0, lease->rows(), 64, [&](size_t begin, size_t end) {
-          for (size_t r = begin; r < end; ++r) {
-            tgt_norms[lease->first_row() + r] = math::L2Norm(
-                std::span<const float>(lease->values() + r * stride, dim));
-          }
-        });
-      }
-      if (has_true && !true_rows_by_bank[b].empty()) {
-        const std::vector<uint32_t>& group = true_rows_by_bank[b];
-        ParallelFor(0, group.size(), 64, [&](size_t begin, size_t end) {
-          for (size_t g = begin; g < end; ++g) {
-            const size_t i = group[g];
-            const size_t true_col =
-                static_cast<size_t>(options.true_cols[i]);
-            result.true_sim[i] =
-                Cell(options.metric, src.Row(i),
-                     std::span<const float>(lease->RowValues(true_col), dim),
-                     src_norms.empty() ? 0.0f : src_norms[i],
-                     tgt_norms.empty() ? 0.0f : tgt_norms[true_col]);
-          }
-        });
-      }
-    }
-  }
-
-  // Pass 2: bank-outer scan with persistent per-row selection state. Row
+  // The scan: bank-outer, with persistent per-row selection state. Row
   // chunk boundaries are fixed by kRowGrain, so a given row is only ever
-  // touched by the thread owning its chunk within a bank, and the ParallelFor
-  // barrier orders the banks.
+  // touched by the thread owning its chunk within a bank, and the
+  // ParallelFor barrier orders the banks. In RAM the one bank holds every
+  // column, so each row is one ScanRowTiles call over all of them.
   std::vector<size_t> counts(rows, 0);
   {
     telemetry::ScopedSpan scan_span("topk_scan");
-    for (size_t b = 0; b < tgt.num_banks(); ++b) {
-      if (b + 1 < tgt.num_banks()) tgt.Prefetch(b + 1);
-      auto lease = tgt.MapBank(b);
-      OPENEA_CHECK(lease.ok());
-      const size_t first = lease->first_row();
-      const size_t bank_rows = lease->rows();
+    for_each_bank([&](const math::RowBanks::Bank& bank) {
+      const size_t first = bank.first_row();
+      const size_t bank_rows = bank.rows();
       ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
         std::vector<float> cell_buf(std::min(col_block, bank_rows));
         uint64_t local_nan = 0;
         uint64_t local_blocks = 0;
         for (size_t i = row_begin; i < row_end; ++i) {
-          const auto a = src.Row(i);
-          const float na = src_norms.empty() ? 0.0f : src_norms[i];
-          const int true_col = has_true ? options.true_cols[i] : -1;
-          const float true_val = has_true ? result.true_sim[i] : 0.0f;
+          if (has_true && true_in_scan) {
+            result.true_sim[i] = true_cell(i, bank);
+          }
           RowSelection sel;
-          sel.ents = result.entries.data() + i * options.k;
+          sel.ents = result.entries.data() + i * k;
           sel.count = &counts[i];
-          sel.k = options.k;
+          sel.k = k;
           math::kernels::ScanEpilogue scan;
+          scan.psi_src = options.csls ? psi_src[i] : 0.0f;
           scan.count_true = has_true;
-          scan.true_val = true_val;
+          scan.true_val = has_true ? result.true_sim[i] : 0.0f;
           math::kernels::ScanCounts tally;
           local_blocks += ScanRowTiles(
-              options.metric, a.data(), na, dim, lease->values(), stride,
-              tgt_norms.empty() ? nullptr : tgt_norms.data() + first, nullptr,
-              bank_rows, first, col_block, true_col, scan,
-              options.k > 0 ? &sel : nullptr, cell_buf.data(), &tally);
+              options.metric, src.Row(i).data(),
+              src_norms.empty() ? 0.0f : src_norms[i], dim, bank.values(),
+              bank.stride(),
+              tgt_norms.empty() ? nullptr : tgt_norms.data() + first,
+              options.csls ? psi_tgt.data() + first : nullptr, bank_rows,
+              first, col_block, has_true ? options.true_cols[i] : -1, scan,
+              k > 0 ? &sel : nullptr, cell_buf.data(), &tally);
           local_nan += tally.nan;
           if (has_true) {
             result.num_greater[i] += tally.greater;
@@ -509,26 +372,24 @@ TopKResult ShardedTopK(const math::Matrix& src,
         }
         telemetry::IncrCounter("align/topk_blocks", local_blocks);
       });
-    }
+    });
   }
 
-  if (has_true) {
-    for (size_t i = 0; i < rows; ++i) {
-      if (std::isnan(result.true_sim[i])) {
-        ++nan_true;
-        result.num_greater[i] = static_cast<uint32_t>(cols);
-        result.num_ties[i] = 0;
-      }
+  uint64_t nan_true = 0;
+  for (size_t i = 0; has_true && i < rows; ++i) {
+    if (std::isnan(result.true_sim[i])) {
+      // Deterministic worst-case rank for a NaN-poisoned true pair — the
+      // dense comparisons would silently report rank 1.
+      ++nan_true;
+      result.num_greater[i] = static_cast<uint32_t>(cols);
+      result.num_ties[i] = 0;
     }
   }
-
   result.nan_cells = nan_cells.load(std::memory_order_relaxed);
   if (result.nan_cells > 0) {
     telemetry::IncrCounter("align/topk_nan_cells", result.nan_cells);
   }
-  if (nan_true > 0) {
-    telemetry::IncrCounter("align/topk_nan_true", nan_true);
-  }
+  if (nan_true > 0) telemetry::IncrCounter("align/topk_nan_true", nan_true);
   return result;
 }
 

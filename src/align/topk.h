@@ -91,25 +91,21 @@ struct TopKResult {
   }
 };
 
-/// Runs the streaming engine over row embeddings (src.cols() must equal
-/// tgt.cols()).
-TopKResult StreamingTopK(const math::Matrix& src, const math::Matrix& tgt,
+/// Runs the streaming engine: `src` rows against the target rows of `tgt`
+/// (src.cols() must equal tgt.dim()). The targets are an in-RAM Matrix (one
+/// bank) or a shard-banked on-disk table (src/math/sharded_table.h, N
+/// banks); either binds to math::RowBanks, and both run the same code:
+/// passes over the banks for the cosine norms and the true-column cells,
+/// then a bank-outer scan that keeps each row's selection state across
+/// banks, reading a bank through its row stride, the next one prefetched.
+/// Per-cell values are batch-independent and the selection order is a
+/// strict total order, so a table gives the same result as the matrix it
+/// was written from, at any bank size and thread count. The span is
+/// `streaming_topk` in RAM and `sharded_topk` over a table. Peak memory is
+/// O(rows * k) plus the leased banks. CSLS needs the targets in one bank
+/// (its psi pass scans every cell); more banks CHECK-fail.
+TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
                          const TopKOptions& options);
-
-/// Out-of-core variant: targets live in a shard-banked on-disk table
-/// (src/math/sharded_table.h) and are scanned bank by bank through the same
-/// `detail::MetricRowBlock` cell kernel (the mapped bank's padded row stride
-/// is passed as the kernel's `ldb`), with the next bank prefetched
-/// asynchronously while the current one streams. Per-cell values are
-/// batch-independent and the top-k selection order is a strict total order,
-/// so results are bit-identical to `StreamingTopK` over the materialized
-/// table at any thread count and any bank size (pinned by
-/// tests/sharded_table_test.cc). Peak memory is O(rows * k) plus the mapped
-/// banks. CSLS is not supported on this path (it needs psi over the full
-/// table; the callers that stream — eval and serving — rank raw metrics).
-TopKResult ShardedTopK(const math::Matrix& src,
-                       const math::ShardedEmbeddingTable& tgt,
-                       const TopKOptions& options);
 
 /// Streaming greedy matcher: match[i] = argmax_j sim(i, j) straight from the
 /// embeddings (with optional streaming CSLS), bit-identical to

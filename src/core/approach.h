@@ -102,16 +102,6 @@ class EntityAlignmentApproach {
 
   const TrainConfig& config() const { return config_; }
 
-  /// Deprecated: approaches are configured at construction time (pass the
-  /// final TrainConfig to CreateApproach); mutating a live approach's config
-  /// bypasses Validate() and the factory boundary. Kept only for source
-  /// compatibility and slated for removal.
-  [[deprecated(
-      "configure at construction time via CreateApproach(name, config)")]]
-  TrainConfig& mutable_config() {
-    return config_;
-  }
-
  protected:
   TrainConfig config_;
 };

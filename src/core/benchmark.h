@@ -82,7 +82,7 @@ struct CheckpointConfig {
   /// Out-of-core eval (DESIGN.md, "Out-of-core scale"): when non-empty,
   /// each fold's ranking evaluation streams its candidate rows through a
   /// shard-banked table under this directory
-  /// (`<approach>_<dataset>_fold<N>.shard`) and ranks via ShardedTopK
+  /// (`<approach>_<dataset>_fold<N>.shard`) and ranks it bank by bank
   /// instead of holding the test sub-matrix in RAM. The results are
   /// bit-identical to the in-RAM path at any thread count, so this knob is
   /// deliberately excluded from the resume fingerprint — a run may toggle

@@ -29,23 +29,103 @@ std::pair<math::Matrix, math::Matrix> TestEmbeddings(
   return {GatherRows(model.emb1, lefts), GatherRows(model.emb2, rights)};
 }
 
-/// The mid-rank accumulation shared by every ranking entry point: per-pair
-/// ranks reduce via the ordered reduction with a fixed grain, so the sums
-/// (and therefore the metrics) are bit-identical at any thread count — and
-/// identical across the in-RAM and sharded similarity paths, which both feed
-/// their greater/tie counts through here.
-RankingMetrics MetricsFromCounts(const align::TopKResult& topk, size_t n) {
+/// Where EvaluateRankingSharded streams the right-side test rows.
+struct ShardTarget {
+  const std::string& path;
+  size_t rows_per_bank;
+  size_t max_resident_banks;
+};
+
+/// Writes the right-side test rows straight to a shard file, so peak memory
+/// for the target side is one bank, not N * dim; the file that remains is a
+/// serve-loadable artifact.
+std::shared_ptr<math::ShardedEmbeddingTable> WriteTestTargets(
+    const core::AlignmentModel& model, const kg::Alignment& test_pairs,
+    const ShardTarget& shard) {
+  math::ShardedTableOptions shard_opts;
+  shard_opts.rows_per_bank = shard.rows_per_bank;
+  auto writer = math::ShardedTableWriter::Create(
+      shard.path, test_pairs.size(), model.emb2.cols(), shard_opts);
+  OPENEA_CHECK(writer.ok()) << writer.status().ToString();
+  for (const auto& p : test_pairs) {
+    OPENEA_CHECK_LT(static_cast<size_t>(p.right), model.emb2.rows());
+    const Status append = (*writer)->AppendRow(model.emb2.Row(p.right));
+    OPENEA_CHECK(append.ok()) << append.ToString();
+  }
+  const Status finalized = (*writer)->Finalize();
+  OPENEA_CHECK(finalized.ok()) << finalized.ToString();
+  math::ShardedEmbeddingTable::OpenOptions open_opts;
+  open_opts.max_resident_banks = shard.max_resident_banks;
+  auto table = math::ShardedEmbeddingTable::Open(shard.path, open_opts);
+  OPENEA_CHECK(table.ok()) << table.status().ToString();
+  return *std::move(table);
+}
+
+/// The one body of EvaluateRanking and EvaluateRankingSharded. Ranking
+/// needs, per pair, only the true counterpart's similarity and the exact
+/// greater/tie counts against it: the streaming engine produces those in
+/// O(N) memory (no list kept, k = 0), with cell values bit-identical to the
+/// dense SimilarityMatrix (+ ApplyCsls) path. The right-side rows are
+/// gathered in RAM (`shard` null) or written to a shard file and scanned
+/// bank by bank; StreamingTopK runs the same code over one bank or N, so
+/// both rank identically.
+RankingMetrics RankTestPairs(const core::AlignmentModel& model,
+                             const kg::Alignment& test_pairs,
+                             align::DistanceMetric metric, bool csls,
+                             const ShardTarget* shard) {
+  RankingMetrics metrics;
+  if (test_pairs.empty()) return metrics;
+  telemetry::ScopedSpan eval_span(shard != nullptr ? "eval_ranking_sharded"
+                                                   : "eval_ranking");
+  align::TopKResult topk;
+  {
+    telemetry::ScopedSpan span("similarity");
+    std::vector<kg::EntityId> lefts, rights;
+    lefts.reserve(test_pairs.size());
+    rights.reserve(test_pairs.size());
+    for (const auto& p : test_pairs) {
+      lefts.push_back(p.left);
+      rights.push_back(p.right);
+    }
+    std::shared_ptr<math::ShardedEmbeddingTable> table;
+    if (shard != nullptr) table = WriteTestTargets(model, test_pairs, *shard);
+    const math::Matrix src = GatherRows(model.emb1, lefts);
+    const math::Matrix tgt =
+        shard != nullptr ? math::Matrix() : GatherRows(model.emb2, rights);
+    align::TopKOptions options;
+    options.k = 0;
+    options.metric = metric;
+    options.csls = csls;
+    options.true_cols.resize(test_pairs.size());
+    for (size_t i = 0; i < test_pairs.size(); ++i) {
+      options.true_cols[i] = static_cast<int>(i);
+    }
+    topk = align::StreamingTopK(
+        src, table != nullptr ? math::RowBanks(*table) : math::RowBanks(tgt),
+        options);
+  }
+  telemetry::ScopedSpan rank_span("rank_kernel");
+  Stopwatch rank_watch;
+  telemetry::IncrCounter("eval/ranking_calls");
+  if (shard != nullptr) telemetry::IncrCounter("eval/sharded_evals");
+  telemetry::IncrCounter("eval/test_pairs", test_pairs.size());
+  telemetry::IncrCounter("eval/candidates",
+                         test_pairs.size() * test_pairs.size());
+  if (trace::Enabled()) {
+    trace::Counter("eval/candidates", static_cast<double>(test_pairs.size() *
+                                                          test_pairs.size()));
+  }
+  // Per-pair mid-rank (see EvaluateRanking's docs: tied candidates count
+  // half a rank each), reduced in order with a fixed grain, so the metrics
+  // are bit-identical at any thread count.
   struct Accum {
     double hits1 = 0, hits5 = 0, mr = 0, mrr = 0;
   };
-  constexpr size_t kGrain = 64;
   const Accum total = ParallelReduceOrdered(
-      0, n, kGrain, Accum{},
+      0, test_pairs.size(), 64, Accum{},
       [&](size_t begin, size_t end) {
         Accum acc;
         for (size_t i = begin; i < end; ++i) {
-          // Mid-rank tie convention (see EvaluateRanking docs): candidates
-          // tied with the true counterpart contribute half a rank each.
           const double rank = 1.0 + static_cast<double>(topk.num_greater[i]) +
                               0.5 * static_cast<double>(topk.num_ties[i]);
           if (rank <= 1.0) acc.hits1 += 1;
@@ -62,12 +142,14 @@ RankingMetrics MetricsFromCounts(const align::TopKResult& topk, size_t n) {
         acc.mrr += part.mrr;
         return acc;
       });
-  RankingMetrics metrics;
-  const double dn = static_cast<double>(n);
-  metrics.hits1 = total.hits1 / dn;
-  metrics.hits5 = total.hits5 / dn;
-  metrics.mr = total.mr / dn;
-  metrics.mrr = total.mrr / dn;
+  const double n = static_cast<double>(test_pairs.size());
+  metrics.hits1 = total.hits1 / n;
+  metrics.hits5 = total.hits5 / n;
+  metrics.mr = total.mr / n;
+  metrics.mrr = total.mrr / n;
+  if (telemetry::Enabled()) {
+    telemetry::Observe("eval/rank_kernel_ms", rank_watch.ElapsedMillis());
+  }
   return metrics;
 }
 
@@ -89,43 +171,7 @@ math::Matrix GatherRows(const math::Matrix& emb,
 RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
                                const kg::Alignment& test_pairs,
                                align::DistanceMetric metric, bool csls) {
-  RankingMetrics metrics;
-  if (test_pairs.empty()) return metrics;
-  telemetry::ScopedSpan eval_span("eval_ranking");
-  // Ranking needs, per pair, only the true counterpart's similarity and the
-  // exact greater/tie counts against it — the streaming engine produces
-  // those in O(N) memory (no list kept, k = 0) with cell values
-  // bit-identical to the dense SimilarityMatrix (+ ApplyCsls) path.
-  align::TopKResult topk;
-  {
-    telemetry::ScopedSpan span("similarity");
-    auto [src, tgt] = TestEmbeddings(model, test_pairs);
-    align::TopKOptions options;
-    options.k = 0;
-    options.metric = metric;
-    options.csls = csls;
-    options.true_cols.resize(test_pairs.size());
-    for (size_t i = 0; i < test_pairs.size(); ++i) {
-      options.true_cols[i] = static_cast<int>(i);
-    }
-    topk = align::StreamingTopK(src, tgt, options);
-  }
-  telemetry::ScopedSpan rank_span("rank_kernel");
-  Stopwatch rank_watch;
-  telemetry::IncrCounter("eval/ranking_calls");
-  telemetry::IncrCounter("eval/test_pairs", test_pairs.size());
-  telemetry::IncrCounter("eval/candidates",
-                         test_pairs.size() * test_pairs.size());
-  if (trace::Enabled()) {
-    trace::Counter("eval/candidates", static_cast<double>(test_pairs.size() *
-                                                          test_pairs.size()));
-  }
-
-  metrics = MetricsFromCounts(topk, test_pairs.size());
-  if (telemetry::Enabled()) {
-    telemetry::Observe("eval/rank_kernel_ms", rank_watch.ElapsedMillis());
-  }
-  return metrics;
+  return RankTestPairs(model, test_pairs, metric, csls, nullptr);
 }
 
 RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
@@ -235,62 +281,8 @@ RankingMetrics EvaluateRankingSharded(const core::AlignmentModel& model,
                                       const std::string& shard_path,
                                       size_t rows_per_bank,
                                       size_t max_resident_banks) {
-  RankingMetrics metrics;
-  if (test_pairs.empty()) return metrics;
-  telemetry::ScopedSpan eval_span("eval_ranking_sharded");
-  align::TopKResult topk;
-  {
-    telemetry::ScopedSpan span("similarity");
-    // Stream the candidate rows straight to the shard file: peak memory for
-    // the target side is one bank, not N * dim, and the file that remains is
-    // a serve-loadable artifact.
-    math::ShardedTableOptions shard_opts;
-    shard_opts.rows_per_bank = rows_per_bank;
-    auto writer = math::ShardedTableWriter::Create(
-        shard_path, test_pairs.size(), model.emb2.cols(), shard_opts);
-    OPENEA_CHECK(writer.ok()) << writer.status().ToString();
-    for (const auto& p : test_pairs) {
-      OPENEA_CHECK_LT(static_cast<size_t>(p.right), model.emb2.rows());
-      const Status append = (*writer)->AppendRow(model.emb2.Row(p.right));
-      OPENEA_CHECK(append.ok()) << append.ToString();
-    }
-    const Status finalized = (*writer)->Finalize();
-    OPENEA_CHECK(finalized.ok()) << finalized.ToString();
-
-    math::ShardedEmbeddingTable::OpenOptions open_opts;
-    open_opts.max_resident_banks = max_resident_banks;
-    auto table = math::ShardedEmbeddingTable::Open(shard_path, open_opts);
-    OPENEA_CHECK(table.ok()) << table.status().ToString();
-
-    std::vector<kg::EntityId> lefts;
-    lefts.reserve(test_pairs.size());
-    for (const auto& p : test_pairs) lefts.push_back(p.left);
-    const math::Matrix src = GatherRows(model.emb1, lefts);
-
-    align::TopKOptions options;
-    options.k = 0;
-    options.metric = metric;
-    options.true_cols.resize(test_pairs.size());
-    for (size_t i = 0; i < test_pairs.size(); ++i) {
-      options.true_cols[i] = static_cast<int>(i);
-    }
-    topk = align::ShardedTopK(src, **table, options);
-  }
-  telemetry::ScopedSpan rank_span("rank_kernel");
-  Stopwatch rank_watch;
-  telemetry::IncrCounter("eval/ranking_calls");
-  telemetry::IncrCounter("eval/sharded_evals");
-  telemetry::IncrCounter("eval/test_pairs", test_pairs.size());
-  telemetry::IncrCounter("eval/candidates",
-                         test_pairs.size() * test_pairs.size());
-  // Same greater/tie counts (the cell kernel is stride-agnostic and the
-  // counts are order-independent sums) through the same accumulation, so the
-  // metrics are bit-identical to the in-RAM EvaluateRanking above.
-  metrics = MetricsFromCounts(topk, test_pairs.size());
-  if (telemetry::Enabled()) {
-    telemetry::Observe("eval/rank_kernel_ms", rank_watch.ElapsedMillis());
-  }
-  return metrics;
+  const ShardTarget shard{shard_path, rows_per_bank, max_resident_banks};
+  return RankTestPairs(model, test_pairs, metric, /*csls=*/false, &shard);
 }
 
 double Hits1(const core::AlignmentModel& model, const kg::Alignment& pairs,
@@ -308,8 +300,14 @@ std::vector<bool> CorrectlyMatched(const core::AlignmentModel& model,
   // source): greedy(+CSLS) stays at O(N*k) memory, stable marriage /
   // Kuhn-Munkres materialize the dense matrix.
   const auto [src, tgt] = TestEmbeddings(model, test_pairs);
+  align::CandidateSourceConfig config;
+  config.metric = metric;
+  config.csls = strategy == align::InferenceStrategy::kGreedyCsls;
+  const std::unique_ptr<align::CandidateSource> source =
+      align::CreateCandidateSourceOrDie(config);
+  OPENEA_CHECK(source->Index(tgt).ok());
   const std::vector<int> match =
-      align::InferAlignment(src, tgt, metric, strategy);
+      align::InferAlignment(*source, src, strategy);
   // Byte buffer rather than vector<bool>: adjacent bits share a byte, so
   // parallel writes to distinct indices of vector<bool> would race.
   std::vector<uint8_t> flags(test_pairs.size(), 0);

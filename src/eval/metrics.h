@@ -75,14 +75,13 @@ RankingMetrics EvaluateRanking(const core::AlignmentModel& model,
                                size_t candidate_k);
 
 /// Out-of-core ranking: streams the right-side test embeddings into a
-/// shard-banked on-disk table at `shard_path` (src/math/sharded_table.h),
-/// frees nothing it did not allocate, and ranks through `ShardedTopK` —
-/// bank-streamed with async prefetch, holding at most `max_resident_banks`
-/// banks mapped (0 = unlimited). Bit-identical to
-/// `EvaluateRanking(model, test_pairs, metric)` without CSLS at any thread
-/// count (same cell kernel, same mid-rank accumulation). The shard file is
-/// left in place: it is a serve-loadable artifact (align-serve
-/// --checkpoint accepts it directly).
+/// shard-banked on-disk table at `shard_path` (src/math/sharded_table.h)
+/// and ranks over its banks — async prefetch, at most `max_resident_banks`
+/// banks mapped (0 = unlimited). The same body as
+/// `EvaluateRanking(model, test_pairs, metric)` over N banks instead of
+/// one, so bit-identical to it at any thread count. The shard file is left
+/// in place: it is a serve-loadable artifact (align-serve --checkpoint
+/// accepts it directly).
 RankingMetrics EvaluateRankingSharded(const core::AlignmentModel& model,
                                       const kg::Alignment& test_pairs,
                                       align::DistanceMetric metric,

@@ -663,6 +663,14 @@ size_t ShardedEmbeddingTable::resident_bytes() const {
   return resident_bytes_;
 }
 
+StatusOr<RowBanks::Bank> RowBanks::Lease(size_t bank) const {
+  if (table_ != nullptr) return table_->MapBank(bank);
+  if (bank >= num_banks()) {
+    return Status::InvalidArgument("Lease: bank index out of range");
+  }
+  return Bank(matrix_->Data().data(), 0, matrix_->rows(), matrix_->cols());
+}
+
 bool IsShardedTableFile(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;

@@ -184,6 +184,12 @@ class ShardedEmbeddingTable {
   class BankLease {
    public:
     BankLease() = default;
+    /// An unpinned bank over rows that outlive it (RowBanks' view of an
+    /// in-RAM Matrix); releasing it touches no table.
+    BankLease(const float* values, size_t first_row, size_t rows,
+              size_t stride)
+        : values_(values), first_row_(first_row), rows_(rows),
+          stride_(stride) {}
     BankLease(BankLease&& other) noexcept { *this = std::move(other); }
     BankLease& operator=(BankLease&& other) noexcept;
     BankLease(const BankLease&) = delete;
@@ -226,8 +232,10 @@ class ShardedEmbeddingTable {
   /// Copies one row's values into `out` (dim floats).
   Status ReadRow(size_t row, std::span<float> out) const;
 
-  /// Materializes the full table (values only) in RAM. Small-N convenience
-  /// and the default CandidateSource::IndexSharded path.
+  /// Materializes the full table (values only) in RAM: the LSH candidate
+  /// source's IndexSharded path (its blocker hashes every row in RAM) and a
+  /// small-N convenience. The scans and the IVF build never call it; they
+  /// stream banks through RowBanks.
   StatusOr<Matrix> ToMatrix() const;
 
   /// Materializes values + AdaGrad state (zeros when the file carries none).
@@ -291,6 +299,62 @@ class ShardedEmbeddingTable {
   mutable std::thread prefetch_thread_;
   mutable bool prefetch_started_ = false;
   mutable bool prefetch_stop_ = false;
+};
+
+/// Read-only view of a row set as leased banks (DESIGN.md, "Out-of-core
+/// scale"). An in-RAM Matrix is one unpinned bank holding every row; a
+/// ShardedEmbeddingTable is its mapped banks, leased through MapBank with
+/// its prefetch and LRU residency behaviour. The top-k scan, the IVF build
+/// and ranking eval are written once against this view, so their
+/// out-of-core results equal the in-RAM ones because both run the same
+/// code. A non-owning view: the matrix or table must outlive it. Implicit
+/// from either storage so `StreamingTopK(src, tgt, ...)` takes both.
+class RowBanks {
+ public:
+  using Bank = ShardedEmbeddingTable::BankLease;
+
+  RowBanks(const Matrix& matrix) : matrix_(&matrix) {}  // NOLINT: implicit.
+  RowBanks(const ShardedEmbeddingTable& table) : table_(&table) {}  // NOLINT
+
+  size_t rows() const {
+    return table_ != nullptr ? table_->num_rows() : matrix_->rows();
+  }
+  size_t dim() const {
+    return table_ != nullptr ? table_->dim() : matrix_->cols();
+  }
+  /// A matrix is one bank (none when it has no rows).
+  size_t num_banks() const {
+    if (table_ != nullptr) return table_->num_banks();
+    return matrix_->rows() > 0 ? 1 : 0;
+  }
+  size_t BankOfRow(size_t row) const {
+    return table_ != nullptr ? table_->BankOfRow(row) : 0;
+  }
+  /// The table behind the view; null for a matrix.
+  const ShardedEmbeddingTable* table() const { return table_; }
+
+  /// Leases bank `bank`: maps and pins a table bank (a torn or corrupt bank
+  /// fails here); a matrix's one bank is its own storage, unpinned.
+  StatusOr<Bank> Lease(size_t bank) const;
+
+  /// Calls fn(const Bank&) for every bank in order, queueing the next
+  /// bank's asynchronous prefetch before each lease. Returns the first lease
+  /// failure; fn has then seen the banks before it.
+  template <typename Fn>
+  Status ForEachBank(Fn&& fn) const {
+    const size_t banks = num_banks();
+    for (size_t b = 0; b < banks; ++b) {
+      if (table_ != nullptr && b + 1 < banks) table_->Prefetch(b + 1);
+      StatusOr<Bank> bank = Lease(b);
+      if (!bank.ok()) return bank.status();
+      fn(*bank);
+    }
+    return Status::OK();
+  }
+
+ private:
+  const Matrix* matrix_ = nullptr;
+  const ShardedEmbeddingTable* table_ = nullptr;
 };
 
 /// True when the file at `path` starts with the sharded-table magic (used by

@@ -384,7 +384,7 @@ TEST(InferAlignmentTest, SourceOverloadMatchesLegacyEmbeddingOverload) {
        {InferenceStrategy::kGreedy, InferenceStrategy::kGreedyCsls,
         InferenceStrategy::kStableMarriage, InferenceStrategy::kKuhnMunkres}) {
     const std::vector<int> legacy = InferAlignment(
-        src, tgt, DistanceMetric::kCosine, strategy);
+        SimilarityMatrix(src, tgt, DistanceMetric::kCosine), strategy);
     CandidateSourceConfig config;
     config.csls = strategy == InferenceStrategy::kGreedyCsls;
     auto source = CreateCandidateSourceOrDie(config);
@@ -396,12 +396,22 @@ TEST(InferAlignmentTest, SourceOverloadMatchesLegacyEmbeddingOverload) {
 }
 
 TEST(InferAlignmentTest, BlockedGreedyMatchShimStaysDeterministic) {
+  // Greedy matching over the kLsh source (what the removed
+  // BlockedGreedyMatch shim wrapped): a fresh source per run, same answer.
   const math::Matrix src = RandomMatrix(120, 16, 51);
   const math::Matrix tgt = RandomMatrix(120, 16, 52);
-  const std::vector<int> first = BlockedGreedyMatch(src, tgt, 4, 4, 7);
-  for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_EQ(first, BlockedGreedyMatch(src, tgt, 4, 4, 7));
-  }
+  CandidateSourceConfig config;
+  config.kind = CandidateSourceKind::kLsh;
+  config.lsh_bits = 4;
+  config.lsh_tables = 4;
+  config.seed = 7;
+  auto blocked_greedy = [&] {
+    auto source = CreateCandidateSourceOrDie(config);
+    EXPECT_TRUE(source->Index(tgt).ok());
+    return InferAlignment(*source, src, InferenceStrategy::kGreedy);
+  };
+  const std::vector<int> first = blocked_greedy();
+  for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(first, blocked_greedy());
 }
 
 TEST(EvaluateRankingTest, CandidateLimitedAgreesWithExhaustiveOnExactSource) {

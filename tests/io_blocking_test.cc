@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/align/blocking.h"
+#include "src/align/candidate_source.h"
 #include "src/common/rng.h"
 #include "src/datagen/kg_pair.h"
 #include "src/kg/io.h"
@@ -213,10 +214,17 @@ TEST(BlockedGreedyMatchTest, NearExactOnWellSeparatedData) {
   math::Matrix emb(200, 32);
   emb.FillUniform(rng, 1.0f);
   for (size_t r = 0; r < emb.rows(); ++r) math::NormalizeL2(emb.Row(r));
-  const auto match = align::BlockedGreedyMatch(emb, emb, 10, 4, 7);
+  align::CandidateSourceConfig config;
+  config.kind = align::CandidateSourceKind::kLsh;
+  config.lsh_bits = 10;
+  config.lsh_tables = 4;
+  config.seed = 7;
+  auto source = align::CreateCandidateSourceOrDie(config);
+  ASSERT_TRUE(source->Index(emb).ok());
+  const align::TopKResult top1 = source->TopK(emb, 1);
   size_t correct = 0;
-  for (size_t i = 0; i < match.size(); ++i) {
-    if (match[i] == static_cast<int>(i)) ++correct;
+  for (size_t i = 0; i < emb.rows(); ++i) {
+    if (top1.BestIndex(i) == static_cast<int>(i)) ++correct;
   }
   EXPECT_GT(correct, 195u);
 }

@@ -6,10 +6,11 @@
 //    bank (shard/short_write fault) passes Open but fails MapBank/ToMatrix
 //    with a CRC error, shard/enospc surfaces as a write Status;
 //  * the residency budget (LRU eviction, pin exemption) and prefetch;
-//  * *bit*-identity of ShardedTopK with StreamingTopK — every metric, 1 and
-//    8 threads, bank sizes that split rows unevenly — and of the exact and
-//    IVF candidate sources built via IndexSharded against their in-RAM
-//    Index builds;
+//  * *bit*-identity of StreamingTopK over banks with StreamingTopK in RAM —
+//    every metric, 1 and 8 threads, bank sizes that split rows unevenly —
+//    and of the exact and IVF candidate sources built via IndexSharded
+//    against their in-RAM Index builds;
+//  * the span paths the ledger's traced mode reads;
 //  * eval::EvaluateRankingSharded == eval::EvaluateRanking, bitwise.
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "src/common/fault.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
+#include "src/common/telemetry.h"
 #include "src/core/task.h"
 #include "src/eval/metrics.h"
 #include "src/math/embedding_table.h"
@@ -307,7 +309,7 @@ TEST_F(ShardedTableTest, PrefetchWarmsBanksValuesUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedTopK bit-identity.
+// Top-k over banks: bit-identity with the in-RAM scan.
 // ---------------------------------------------------------------------------
 
 const align::DistanceMetric kAllMetrics[] = {
@@ -364,7 +366,7 @@ TEST_F(ShardedTableTest, ShardedTopKBitIdenticalToStreaming) {
         const align::TopKResult streamed =
             align::StreamingTopK(src, tgt, topk_options);
         const align::TopKResult banked =
-            align::ShardedTopK(src, **sharded, topk_options);
+            align::StreamingTopK(src, **sharded, topk_options);
         ExpectSameTopK(streamed, banked,
                        std::string(align::DistanceMetricName(metric)) +
                            " bank=" + std::to_string(rows_per_bank) +
@@ -393,7 +395,7 @@ TEST_F(ShardedTableTest, ShardedTopKSkipsNanCellsLikeStreaming) {
   const align::TopKResult streamed =
       align::StreamingTopK(src, tgt, topk_options);
   const align::TopKResult banked =
-      align::ShardedTopK(src, **sharded, topk_options);
+      align::StreamingTopK(src, **sharded, topk_options);
   EXPECT_GT(banked.nan_cells, 0u);
   ExpectSameTopK(streamed, banked, "nan");
 }
@@ -402,27 +404,44 @@ TEST_F(ShardedTableTest, ShardedTopKSkipsNanCellsLikeStreaming) {
 // Candidate sources built out-of-core.
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<const math::ShardedEmbeddingTable> OpenTable(
+    const std::string& path) {
+  auto table = math::ShardedEmbeddingTable::Open(path);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? *std::move(table) : nullptr;
+}
+
 TEST_F(ShardedTableTest, ExactSourceShardedMatchesInRam) {
   const math::Matrix queries = RandomMatrix(19, 12, 1);
   const math::Matrix targets = RandomMatrix(47, 12, 2);
-  const std::string path = Path("exact.shard");
-  math::ShardedTableOptions options;
-  options.rows_per_bank = 16;
-  ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
+  // 7 rows per bank: ragged banks, the last one short (47 = 6 * 7 + 5).
+  for (const size_t rows_per_bank : {16u, 7u}) {
+    const std::string path =
+        Path("exact_" + std::to_string(rows_per_bank) + ".shard");
+    math::ShardedTableOptions options;
+    options.rows_per_bank = rows_per_bank;
+    ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
+    for (const align::DistanceMetric metric : kAllMetrics) {
+      align::CandidateSourceConfig config;
+      config.kind = align::CandidateSourceKind::kExact;
+      config.metric = metric;
+      auto in_ram = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(in_ram->Index(targets).ok());
+      auto out_of_core = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(out_of_core->IndexSharded(OpenTable(path)).ok());
+      EXPECT_EQ(out_of_core->num_targets(), targets.rows());
+      EXPECT_EQ(out_of_core->dim(), targets.cols());
 
-  align::CandidateSourceConfig config;
-  config.kind = align::CandidateSourceKind::kExact;
-  auto in_ram = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(in_ram->Index(targets).ok());
-  auto out_of_core = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(out_of_core->IndexShardedFile(path).ok());
-  EXPECT_EQ(out_of_core->num_targets(), targets.rows());
-  EXPECT_EQ(out_of_core->dim(), targets.cols());
-
-  for (int threads : {1, 8}) {
-    ThreadGuard guard(threads);
-    ExpectSameTopK(in_ram->TopK(queries, 10), out_of_core->TopK(queries, 10),
-                   "exact threads=" + std::to_string(threads));
+      for (int threads : {1, 8}) {
+        ThreadGuard guard(threads);
+        ExpectSameTopK(in_ram->TopK(queries, 10),
+                       out_of_core->TopK(queries, 10),
+                       std::string("exact ") +
+                           align::DistanceMetricName(metric) +
+                           " bank=" + std::to_string(rows_per_bank) +
+                           " threads=" + std::to_string(threads));
+      }
+    }
   }
 }
 
@@ -433,7 +452,7 @@ TEST_F(ShardedTableTest, ExactSourceShardedRejectsCsls) {
   auto source = align::CreateCandidateSourceOrDie(config);
   const std::string path = Path("csls.shard");
   ASSERT_TRUE(math::WriteShardedTable(path, RandomMatrix(8, 4, 3)).ok());
-  const Status status = source->IndexShardedFile(path);
+  const Status status = source->IndexSharded(OpenTable(path));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.ToString().find("csls"), std::string::npos);
@@ -442,36 +461,103 @@ TEST_F(ShardedTableTest, ExactSourceShardedRejectsCsls) {
 TEST_F(ShardedTableTest, AnnIvfShardedBuildMatchesInRam) {
   const math::Matrix queries = RandomMatrix(23, 16, 5);
   const math::Matrix targets = RandomMatrix(300, 16, 6);
-  const std::string path = Path("ivf.shard");
-  math::ShardedTableOptions options;
-  options.rows_per_bank = 64;
-  ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
+  // 7 rows per bank: inverted lists straddle banks of the spilled layout and
+  // the last bank is short (300 = 42 * 7 + 6).
+  for (const size_t rows_per_bank : {64u, 7u}) {
+    const std::string path =
+        Path("ivf_" + std::to_string(rows_per_bank) + ".shard");
+    math::ShardedTableOptions options;
+    options.rows_per_bank = rows_per_bank;
+    ASSERT_TRUE(math::WriteShardedTable(path, targets, options).ok());
+    for (const align::DistanceMetric metric : kAllMetrics) {
+      align::CandidateSourceConfig config;
+      config.kind = align::CandidateSourceKind::kAnnIvf;
+      config.metric = metric;
+      config.ivf_nprobe = 4;
+      auto in_ram = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(in_ram->Index(targets).ok());
+      auto out_of_core = align::CreateCandidateSourceOrDie(config);
+      ASSERT_TRUE(out_of_core->IndexSharded(OpenTable(path)).ok());
+      EXPECT_EQ(out_of_core->num_targets(), targets.rows());
+      EXPECT_EQ(out_of_core->dim(), targets.cols());
 
-  align::CandidateSourceConfig config;
-  config.kind = align::CandidateSourceKind::kAnnIvf;
-  config.ivf_nprobe = 4;
-  auto in_ram = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(in_ram->Index(targets).ok());
-  auto out_of_core = align::CreateCandidateSourceOrDie(config);
-  ASSERT_TRUE(out_of_core->IndexShardedFile(path).ok());
-  EXPECT_EQ(out_of_core->num_targets(), targets.rows());
-  EXPECT_EQ(out_of_core->dim(), targets.cols());
-
-  // Same seeds, same Lloyd updates (streamed in global row order), same
-  // probe routing — the sharded build must return the same candidates.
-  for (int threads : {1, 8}) {
-    ThreadGuard guard(threads);
-    const auto a = in_ram->TopK(queries, 10);
-    const auto b = out_of_core->TopK(queries, 10);
-    ASSERT_EQ(a.rows, b.rows);
-    for (size_t i = 0; i < a.rows; ++i) {
-      const auto ra = a.Row(i);
-      const auto rb = b.Row(i);
-      for (size_t t = 0; t < a.k; ++t) {
-        EXPECT_EQ(ra[t].value, rb[t].value) << "row=" << i << " t=" << t;
-        EXPECT_EQ(ra[t].index, rb[t].index) << "row=" << i << " t=" << t;
+      // Same seeds, same Lloyd updates (streamed in global row order), same
+      // probe routing — the sharded build must return the same candidates.
+      for (int threads : {1, 8}) {
+        ThreadGuard guard(threads);
+        const auto a = in_ram->TopK(queries, 10);
+        const auto b = out_of_core->TopK(queries, 10);
+        ASSERT_EQ(a.rows, b.rows);
+        const std::string label = std::string(align::DistanceMetricName(
+                                      metric)) +
+                                  " bank=" + std::to_string(rows_per_bank) +
+                                  " threads=" + std::to_string(threads);
+        for (size_t i = 0; i < a.rows; ++i) {
+          const auto ra = a.Row(i);
+          const auto rb = b.Row(i);
+          for (size_t t = 0; t < a.k; ++t) {
+            EXPECT_EQ(ra[t].value, rb[t].value)
+                << label << " row=" << i << " t=" << t;
+            EXPECT_EQ(ra[t].index, rb[t].index)
+                << label << " row=" << i << " t=" << t;
+          }
+        }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Span paths the ledger's traced mode reads (ledger/run.py): a renamed or
+// re-nested span would break its per-layer split, and ctest does not build
+// the ledger.
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedTableTest, LedgerSpanPathsExist) {
+  struct CollectGuard {
+    CollectGuard() {
+      telemetry::ResetForTesting();
+      telemetry::SetCollectForTesting(true);
+    }
+    ~CollectGuard() {
+      telemetry::SetCollectForTesting(false);
+      telemetry::ResetForTesting();
+    }
+  } collect;
+  const size_t n = 40, dim = 8;
+  core::AlignmentModel model;
+  model.emb1 = RandomMatrix(n, dim, 81);
+  model.emb2 = RandomMatrix(n, dim, 82);
+  kg::Alignment pairs;
+  for (size_t i = 0; i < n; ++i) {
+    pairs.push_back({static_cast<kg::EntityId>(i),
+                     static_cast<kg::EntityId>(i)});
+  }
+  const align::DistanceMetric metric = align::DistanceMetric::kCosine;
+  (void)eval::EvaluateRanking(model, pairs, metric);
+  (void)eval::EvaluateRankingSharded(model, pairs, metric,
+                                     Path("eval.shard"), /*rows_per_bank=*/16);
+  const std::string path = Path("ivf.shard");
+  math::ShardedTableOptions options;
+  options.rows_per_bank = 16;
+  ASSERT_TRUE(math::WriteShardedTable(path, model.emb2, options).ok());
+  align::CandidateSourceConfig config;
+  config.kind = align::CandidateSourceKind::kAnnIvf;
+  auto source = align::CreateCandidateSourceOrDie(config);
+  {
+    telemetry::ScopedSpan create("create");
+    ASSERT_TRUE(source->IndexSharded(OpenTable(path)).ok());
+  }
+  std::vector<std::string> paths;
+  for (const telemetry::SpanStat& span : telemetry::SnapshotSpans()) {
+    paths.push_back(span.path);
+  }
+  for (const char* want :
+       {"eval_ranking/similarity/streaming_topk/topk_scan",
+        "eval_ranking_sharded/similarity/sharded_topk/topk_scan",
+        "create/ann_ivf_build"}) {
+    EXPECT_NE(std::find(paths.begin(), paths.end(), want), paths.end())
+        << want;
   }
 }
 

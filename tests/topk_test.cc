@@ -154,7 +154,11 @@ TEST(StreamingTopKTest, InferAlignmentOverloadMatchesDenseAllStrategies) {
         InferenceStrategy::kStableMarriage,
         InferenceStrategy::kStableMarriageCsls,
         InferenceStrategy::kKuhnMunkres}) {
-    EXPECT_EQ(InferAlignment(src, tgt, DistanceMetric::kCosine, strategy),
+    CandidateSourceConfig config;
+    config.csls = strategy == InferenceStrategy::kGreedyCsls;
+    auto source = CreateCandidateSourceOrDie(config);
+    ASSERT_TRUE(source->Index(tgt).ok());
+    EXPECT_EQ(InferAlignment(*source, src, strategy),
               InferAlignment(sim, strategy))
         << InferenceStrategyName(strategy);
   }
@@ -312,7 +316,7 @@ TEST(StreamingTopKTest, EvaluateRankingBitIdenticalToDensePath) {
 // ---------------------------------------------------------------------------
 // The scan epilogue (DESIGN.md, "Streaming top-k similarity"): top-k pruning
 // against the k-th kept value, ties, NaN cells and true-column lanes. Every
-// case compares StreamingTopK at 1 and 8 threads, and ShardedTopK over banks
+// case compares StreamingTopK at 1 and 8 threads, in RAM and over banks
 // whose sizes are not multiples of 8, with the dense path.
 // ---------------------------------------------------------------------------
 
@@ -385,7 +389,7 @@ class ScanEpilogueTest : public ::testing::Test {
       check(StreamingTopK(src, tgt, options),
             "streaming threads=" + std::to_string(threads));
     }
-    if (options.csls) return;  // ShardedTopK ranks raw metrics only.
+    if (options.csls) return;  // CSLS needs the targets in one bank.
     for (size_t rows_per_bank : {5u, 13u}) {
       math::ShardedTableOptions shard_options;
       shard_options.rows_per_bank = rows_per_bank;
@@ -397,7 +401,7 @@ class ScanEpilogueTest : public ::testing::Test {
       ASSERT_TRUE(banked.ok()) << banked.status().ToString();
       for (int threads : {1, 8}) {
         ThreadGuard guard(threads);
-        check(ShardedTopK(src, **banked, options),
+        check(StreamingTopK(src, **banked, options),
               "sharded bank=" + std::to_string(rows_per_bank) +
                   " threads=" + std::to_string(threads));
       }
