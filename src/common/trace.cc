@@ -90,7 +90,9 @@ void Emit(EventKind kind, std::string_view name, double value) {
   slot.value = value;
   slot.ts_us = NowUs();
   const size_t n = std::min(name.size(), TraceEvent::kMaxNameLength);
-  std::memcpy(slot.name, name.data(), n);
+  // An empty name (trace::End) may carry a null data(); memcpy must not
+  // see it even for zero bytes.
+  if (n != 0) std::memcpy(slot.name, name.data(), n);
   slot.name[n] = '\0';
   if (kind == EventKind::kEnd) {
     slot.ctx[0] = '\0';  // E events inherit their B's args in Chrome.

@@ -1,8 +1,8 @@
 #include "src/embedding/translational.h"
 
 #include <cmath>
-#include <vector>
 
+#include "src/math/kernels.h"
 #include "src/math/vec.h"
 
 namespace openea::embedding {
@@ -41,48 +41,48 @@ TransEModel::TransEModel(size_t num_entities, size_t num_relations,
     : options_(options),
       limit_(limit),
       entities_(num_entities, options.dim, InitScheme::kUnit, rng),
-      relations_(num_relations, options.dim, InitScheme::kUnit, rng) {}
+      relations_(num_relations, options.dim, InitScheme::kUnit, rng),
+      scratch_(2 * options.dim) {}
 
-float TransEModel::Energy(const kg::Triple& t,
-                          std::span<float> residual) const {
-  const auto h = entities_.Row(t.head);
-  const auto r = relations_.Row(t.relation);
-  const auto tl = entities_.Row(t.tail);
-  float energy = 0.0f;
-  for (size_t i = 0; i < residual.size(); ++i) {
-    residual[i] = h[i] + r[i] - tl[i];
-    energy += residual[i] * residual[i];
-  }
-  return energy;
+float TransEModel::Energy(const kg::Triple& t, float* residual) const {
+  return math::kernels::Active().translation_residual(
+      entities_.Row(t.head).data(), relations_.Row(t.relation).data(),
+      entities_.Row(t.tail).data(), residual, options_.dim);
+}
+
+void TransEModel::Descend(const kg::Triple& t, const float* residual,
+                          float direction) {
+  // dE/dh = 2 residual; dE/dr = 2 residual; dE/dt = -2 residual.
+  math::kernels::TranslationStep step;
+  step.head = entities_.Row(t.head).data();
+  step.head_acc = entities_.AdagradRow(t.head).data();
+  step.relation = relations_.Row(t.relation).data();
+  step.relation_acc = relations_.AdagradRow(t.relation).data();
+  step.tail = entities_.Row(t.tail).data();
+  step.tail_acc = entities_.AdagradRow(t.tail).data();
+  step.residual = residual;
+  step.scale = direction * 2.0f;
+  step.lr = options_.learning_rate;
+  step.eps = math::EmbeddingTable::kAdagradEps;
+  math::kernels::Active().translation_update(step, options_.dim);
 }
 
 float TransEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
-  const size_t d = options_.dim;
-  std::vector<float> rp(d), rn(d), grad(d);
+  float* rp = scratch_.data();
+  float* rn = rp + options_.dim;
   const float ep = Energy(pos, rp);
   const float en = Energy(neg, rn);
-  const float lr = options_.learning_rate;
-
-  auto descend = [&](const kg::Triple& t, std::span<const float> residual,
-                     float direction) {
-    // dE/dh = 2 residual; dE/dr = 2 residual; dE/dt = -2 residual.
-    for (size_t i = 0; i < d; ++i) grad[i] = direction * 2.0f * residual[i];
-    entities_.ApplyGradient(t.head, grad, lr);
-    relations_.ApplyGradient(t.relation, grad, lr);
-    for (size_t i = 0; i < d; ++i) grad[i] = -grad[i];
-    entities_.ApplyGradient(t.tail, grad, lr);
-  };
 
   if (limit_.enabled) {
     // Limit-based loss (BootEA): max(0, E(pos) - l_pos) +
     // w * max(0, l_neg - E(neg)).
     float loss = 0.0f;
     if (ep > limit_.limit_pos) {
-      descend(pos, rp, +1.0f);
+      Descend(pos, rp, +1.0f);
       loss += ep - limit_.limit_pos;
     }
     if (en < limit_.limit_neg) {
-      descend(neg, rn, -limit_.neg_weight);
+      Descend(neg, rn, -limit_.neg_weight);
       loss += limit_.neg_weight * (limit_.limit_neg - en);
     }
     return loss;
@@ -90,28 +90,29 @@ float TransEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
 
   const PairGate gate = MarginGate(options_.margin, ep, en);
   if (!gate.active) return 0.0f;
-  descend(pos, rp, +1.0f);
-  descend(neg, rn, -1.0f);
+  Descend(pos, rp, +1.0f);
+  Descend(neg, rn, -1.0f);
   return gate.loss;
 }
 
 float TransEModel::TrainOnPositive(const kg::Triple& pos) {
   // MTransE-style positive-only energy minimization.
-  const size_t d = options_.dim;
-  std::vector<float> residual(d), grad(d);
-  const float energy = Energy(pos, residual);
-  const float lr = options_.learning_rate;
-  for (size_t i = 0; i < d; ++i) grad[i] = 2.0f * residual[i];
-  entities_.ApplyGradient(pos.head, grad, lr);
-  relations_.ApplyGradient(pos.relation, grad, lr);
-  for (size_t i = 0; i < d; ++i) grad[i] = -grad[i];
-  entities_.ApplyGradient(pos.tail, grad, lr);
+  const float energy = Energy(pos, scratch_.data());
+  Descend(pos, scratch_.data(), +1.0f);
   return energy;
 }
 
 float TransEModel::ScoreTriple(const kg::Triple& t) const {
-  std::vector<float> residual(options_.dim);
-  return -Energy(t, residual);
+  // The energy of translation_residual, without writing the residual.
+  const auto h = entities_.Row(t.head);
+  const auto r = relations_.Row(t.relation);
+  const auto tl = entities_.Row(t.tail);
+  float e = 0.0f;
+  for (size_t i = 0; i < options_.dim; ++i) {
+    const float v = h[i] + r[i] - tl[i];
+    e += v * v;
+  }
+  return -e;
 }
 
 void TransEModel::PostEpoch() {
@@ -128,11 +129,13 @@ TransHModel::TransHModel(size_t num_entities, size_t num_relations,
     : options_(options),
       entities_(num_entities, options.dim, InitScheme::kUnit, rng),
       translations_(num_relations, options.dim, InitScheme::kUnit, rng),
-      normals_(num_relations, options.dim, InitScheme::kUnit, rng) {}
+      normals_(num_relations, options.dim, InitScheme::kUnit, rng),
+      scratch_(4 * options.dim) {}
 
 float TransHModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t d = options_.dim;
-  std::vector<float> residual(d), grad(d), grad_w(d);
+  const std::span<float> rp(scratch_.data(), d), rn(rp.data() + d, d),
+      grad(rn.data() + d, d), grad_w(grad.data() + d, d);
 
   auto energy = [&](const kg::Triple& t, std::span<float> out) -> float {
     const auto h = entities_.Row(t.head);
@@ -149,7 +152,6 @@ float TransHModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
     return e;
   };
 
-  std::vector<float> rp(d), rn(d);
   const float ep = energy(pos, rp);
   const float en = energy(neg, rn);
   const PairGate gate = MarginGate(options_.margin, ep, en);
@@ -215,7 +217,8 @@ TransRModel::TransRModel(size_t num_entities, size_t num_relations,
       entities_(num_entities, options.dim, InitScheme::kUnit, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng),
       matrices_(num_relations, options.dim * options.dim,
-                InitScheme::kUniform, rng) {
+                InitScheme::kUniform, rng),
+      scratch_(3 * options.dim + options.dim * options.dim) {
   // Initialize each relation matrix near identity for stable starts.
   const size_t d = options.dim;
   for (size_t r = 0; r < num_relations; ++r) {
@@ -227,8 +230,9 @@ TransRModel::TransRModel(size_t num_entities, size_t num_relations,
 
 float TransRModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t d = options_.dim;
-  std::vector<float> hp(d), tp(d), residual_p(d), residual_n(d), grad(d);
-  std::vector<float> grad_m(d * d);
+  const std::span<float> residual_p(scratch_.data(), d),
+      residual_n(residual_p.data() + d, d), grad(residual_n.data() + d, d),
+      grad_m(grad.data() + d, d * d);
 
   auto energy = [&](const kg::Triple& t, std::span<float> out) -> float {
     const auto h = entities_.Row(t.head);
@@ -317,7 +321,8 @@ TransDModel::TransDModel(size_t num_entities, size_t num_relations,
       entities_(num_entities, options.dim, InitScheme::kUnit, rng),
       entity_proj_(num_entities, options.dim, InitScheme::kUniform, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng),
-      relation_proj_(num_relations, options.dim, InitScheme::kUniform, rng) {
+      relation_proj_(num_relations, options.dim, InitScheme::kUniform, rng),
+      scratch_(3 * options.dim) {
   // Small projection vectors keep the initial mapping near identity.
   for (float& v : entity_proj_.MutableData()) v *= 0.1f;
   for (float& v : relation_proj_.MutableData()) v *= 0.1f;
@@ -325,7 +330,8 @@ TransDModel::TransDModel(size_t num_entities, size_t num_relations,
 
 float TransDModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t d = options_.dim;
-  std::vector<float> rp(d), rn(d), grad(d);
+  const std::span<float> rp(scratch_.data(), d), rn(rp.data() + d, d),
+      grad(rn.data() + d, d);
 
   auto energy = [&](const kg::Triple& t, std::span<float> out) -> float {
     const auto h = entities_.Row(t.head);

@@ -2,6 +2,7 @@
 #define OPENEA_EMBEDDING_TRANSLATIONAL_H_
 
 #include <string>
+#include <vector>
 
 #include "src/embedding/triple_model.h"
 
@@ -11,6 +12,10 @@ namespace openea::embedding {
 /// ranking loss (squared L2 keeps gradients smooth). Also supports the
 /// limit-based loss of BootEA (Sun et al. 2018): push positive energies
 /// below `limit_pos` and negative energies above `limit_neg`.
+///
+/// A pair step is two `translation_residual` and at most two
+/// `translation_update` kernel calls over a residual buffer the model owns
+/// (DESIGN.md, "Kernel dispatch"); no call allocates.
 class TransEModel : public TripleModel {
  public:
   struct LimitLoss {
@@ -41,12 +46,18 @@ class TransEModel : public TripleModel {
   math::EmbeddingTable& relation_table() { return relations_; }
 
  private:
-  float Energy(const kg::Triple& t, std::span<float> residual) const;
+  /// Writes (h + r) - t of `t` to `residual` (dim floats); returns its
+  /// squared norm, the energy.
+  float Energy(const kg::Triple& t, float* residual) const;
+  /// One AdaGrad step on the rows of `t` with gradient
+  /// (direction * 2) * residual on h and r, its negation on t.
+  void Descend(const kg::Triple& t, const float* residual, float direction);
 
   TripleModelOptions options_;
   LimitLoss limit_;
   math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
+  std::vector<float> scratch_;  // Two residuals: pos, neg.
 };
 
 /// TransH (Wang et al. 2014): entities are projected onto a
@@ -73,6 +84,7 @@ class TransHModel : public TripleModel {
   math::EmbeddingTable entities_;
   math::EmbeddingTable translations_;  // d_r.
   math::EmbeddingTable normals_;       // w_r (unit).
+  std::vector<float> scratch_;  // TrainOnPair's rows: rp, rn, grad, grad_w.
 };
 
 /// TransR (Lin et al. 2015): a relation-specific d x d projection matrix
@@ -100,6 +112,7 @@ class TransRModel : public TripleModel {
   math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
   math::EmbeddingTable matrices_;  // One d*d row per relation.
+  std::vector<float> scratch_;  // TrainOnPair's rows: rp, rn, grad, grad_m.
 };
 
 /// TransD (Ji et al. 2015): dynamic mapping via projection vectors —
@@ -126,6 +139,7 @@ class TransDModel : public TripleModel {
   math::EmbeddingTable entity_proj_;    // h_p per entity.
   math::EmbeddingTable relations_;
   math::EmbeddingTable relation_proj_;  // r_p per relation.
+  std::vector<float> scratch_;  // TrainOnPair's rows: rp, rn, grad.
 };
 
 }  // namespace openea::embedding

@@ -58,7 +58,7 @@ void EmbeddingTable::ApplyGradient(size_t r, std::span<const float> grad,
                                    float lr) {
   kernels::Active().adagrad_update(data_.data() + r * dim_,
                                    adagrad_.data() + r * dim_, grad.data(),
-                                   dim_, lr, 1e-8f);
+                                   dim_, lr, kAdagradEps);
 }
 
 void EmbeddingTable::ApplySgd(size_t r, std::span<const float> grad,

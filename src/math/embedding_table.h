@@ -48,6 +48,15 @@ class EmbeddingTable {
   /// where acc accumulates squared gradients per coordinate.
   void ApplyGradient(size_t r, std::span<const float> grad, float lr);
 
+  /// The `eps` of ApplyGradient.
+  static constexpr float kAdagradEps = 1e-8f;
+
+  /// Row `r` of the AdaGrad accumulator, for fused updates that apply
+  /// ApplyGradient's step themselves (kernels::translation_update).
+  std::span<float> AdagradRow(size_t r) {
+    return std::span<float>(adagrad_.data() + r * dim_, dim_);
+  }
+
   /// Plain SGD step without adaptive scaling.
   void ApplySgd(size_t r, std::span<const float> grad, float lr);
 

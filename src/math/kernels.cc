@@ -150,16 +150,40 @@ void ScalarGemmBlock(const float* a, size_t lda, const float* b, size_t ldb,
   }
 }
 
+inline void AdagradStep(float& row, float& acc, float g, float lr,
+                        float eps) {
+  acc += g * g;
+  row -= lr * g / std::sqrt(acc + eps);
+}
+
 void ScalarAdagradUpdate(float* row, float* acc, const float* grad, size_t n,
                          float lr, float eps) {
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] += grad[i] * grad[i];
-    row[i] -= lr * grad[i] / std::sqrt(acc[i] + eps);
-  }
+  for (size_t i = 0; i < n; ++i) AdagradStep(row[i], acc[i], grad[i], lr, eps);
 }
 
 void ScalarSgdUpdate(float* row, const float* grad, size_t n, float lr) {
   for (size_t i = 0; i < n; ++i) row[i] -= lr * grad[i];
+}
+
+// TransEModel's historical energy loop and its three ApplyGradient calls,
+// the latter one element at a time in the order head, relation, tail.
+float ScalarTranslationResidual(const float* h, const float* r, const float* t,
+                                float* res, size_t n) {
+  float energy = 0.0f;
+  for (size_t i = 0; i < n; ++i) {
+    res[i] = h[i] + r[i] - t[i];
+    energy += res[i] * res[i];
+  }
+  return energy;
+}
+
+void ScalarTranslationUpdate(const TranslationStep& s, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = s.scale * s.residual[i];
+    AdagradStep(s.head[i], s.head_acc[i], g, s.lr, s.eps);
+    AdagradStep(s.relation[i], s.relation_acc[i], g, s.lr, s.eps);
+    AdagradStep(s.tail[i], s.tail_acc[i], -g, s.lr, s.eps);
+  }
 }
 
 constexpr KernelTable kScalarTable = {
@@ -180,6 +204,8 @@ constexpr KernelTable kScalarTable = {
     /*gemm_block=*/ScalarGemmBlock,
     /*adagrad_update=*/ScalarAdagradUpdate,
     /*sgd_update=*/ScalarSgdUpdate,
+    /*translation_residual=*/ScalarTranslationResidual,
+    /*translation_update=*/ScalarTranslationUpdate,
 };
 
 bool CpuHasAvx2Fma() {

@@ -24,7 +24,8 @@ namespace openea::math::kernels {
 ///  * Elementwise kernels (axpy, scale, add, sub, hadamard, the fused
 ///    AdaGrad/SGD updates) perform the same IEEE operations per lane in
 ///    both backends and are bit-identical across backends; the AVX2
-///    versions deliberately avoid FMA contraction for this reason.
+///    versions deliberately avoid FMA contraction for this reason. So do
+///    the two TransE kernels, whose one sum runs in scalar order.
 ///  * Reduction kernels (dot, norms, distances, GEMM) reassociate the
 ///    accumulation in the AVX2 backend and may differ from scalar in the
 ///    last ULPs. tests/kernels_test.cc ties the backends together with a
@@ -79,6 +80,25 @@ struct ScanCounts {
   uint64_t nan = 0;      // NaN cells (after finish and CSLS).
   uint32_t greater = 0;  // Cells > true_val.
   uint32_t ties = 0;     // Cells == true_val.
+};
+
+/// One triple's rows for `translation_update`: the head and tail entity
+/// rows and the relation row, each with its AdaGrad accumulator row, plus
+/// the triple's residual (h + r) - t from `translation_residual`. The head
+/// and tail may be the same row; the relation row is in another table.
+struct TranslationStep {
+  float* head = nullptr;
+  float* head_acc = nullptr;
+  float* relation = nullptr;
+  float* relation_acc = nullptr;
+  float* tail = nullptr;
+  float* tail_acc = nullptr;
+  const float* residual = nullptr;
+  /// The gradient is g[i] = scale * residual[i] on the head and relation
+  /// rows and -g[i] on the tail row.
+  float scale = 0.0f;
+  float lr = 0.0f;
+  float eps = 0.0f;
 };
 
 /// The dispatch table. All pointers are non-null in every table; spans are
@@ -147,6 +167,20 @@ struct KernelTable {
                          float lr, float eps);
   /// row[i] -= lr * grad[i].
   void (*sgd_update)(float* row, const float* grad, size_t n, float lr);
+
+  // -- The TransE pair step (bit-identical across backends). ---------------
+  /// res[i] = (h[i] + r[i]) - t[i]; returns sum_i res[i]^2. The residual
+  /// and the squares are elementwise; the squares are summed in the scalar
+  /// order i = 0..n-1, with no add tree and no FMA, so the energy is the
+  /// float of the plain scalar loop in both backends.
+  float (*translation_residual)(const float* h, const float* r,
+                                const float* t, float* res, size_t n);
+  /// The three `adagrad_update` steps of one triple (head and relation with
+  /// g, tail with -g) in one pass: per lane block the head, then the
+  /// relation, then the tail. Each element sees the IEEE sequence of the
+  /// three separate updates, so a head row that is also the tail row gets
+  /// both steps in sequence.
+  void (*translation_update)(const TranslationStep& step, size_t n);
 };
 
 /// Human-readable backend name ("scalar" / "avx2").

@@ -422,24 +422,33 @@ void Avx2GemmBlock(const float* a, size_t lda, const float* b, size_t ldb,
 // these stay bit-identical to the scalar backend.
 // ---------------------------------------------------------------------------
 
+/// One AdaGrad step on eight elements: acc += g * g, then
+/// row -= (lr * g) / sqrt(acc + eps).
+inline void AdagradLanes(float* row, float* acc, __m256 g, __m256 vlr,
+                         __m256 veps) {
+  const __m256 a = _mm256_add_ps(_mm256_loadu_ps(acc), _mm256_mul_ps(g, g));
+  _mm256_storeu_ps(acc, a);
+  const __m256 step = _mm256_div_ps(_mm256_mul_ps(vlr, g),
+                                    _mm256_sqrt_ps(_mm256_add_ps(a, veps)));
+  _mm256_storeu_ps(row, _mm256_sub_ps(_mm256_loadu_ps(row), step));
+}
+
+/// The scalar form of AdagradLanes, for the tails.
+inline void AdagradStep(float& row, float& acc, float g, float lr,
+                        float eps) {
+  acc += g * g;
+  row -= lr * g / std::sqrt(acc + eps);
+}
+
 void Avx2AdagradUpdate(float* row, float* acc, const float* grad, size_t n,
                        float lr, float eps) {
   const __m256 vlr = _mm256_set1_ps(lr);
   const __m256 veps = _mm256_set1_ps(eps);
   size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    const __m256 g = _mm256_loadu_ps(grad + i);
-    const __m256 a =
-        _mm256_add_ps(_mm256_loadu_ps(acc + i), _mm256_mul_ps(g, g));
-    _mm256_storeu_ps(acc + i, a);
-    const __m256 step = _mm256_div_ps(_mm256_mul_ps(vlr, g),
-                                      _mm256_sqrt_ps(_mm256_add_ps(a, veps)));
-    _mm256_storeu_ps(row + i, _mm256_sub_ps(_mm256_loadu_ps(row + i), step));
+    AdagradLanes(row + i, acc + i, _mm256_loadu_ps(grad + i), vlr, veps);
   }
-  for (; i < n; ++i) {
-    acc[i] += grad[i] * grad[i];
-    row[i] -= lr * grad[i] / std::sqrt(acc[i] + eps);
-  }
+  for (; i < n; ++i) AdagradStep(row[i], acc[i], grad[i], lr, eps);
 }
 
 void Avx2SgdUpdate(float* row, const float* grad, size_t n, float lr) {
@@ -450,6 +459,73 @@ void Avx2SgdUpdate(float* row, const float* grad, size_t n, float lr) {
     _mm256_storeu_ps(row + i, _mm256_sub_ps(_mm256_loadu_ps(row + i), step));
   }
   for (; i < n; ++i) row[i] -= lr * grad[i];
+}
+
+// ---------------------------------------------------------------------------
+// The TransE pair step. The residual and its squares are elementwise; the
+// squares are then added one at a time in index order, which is the scalar
+// energy loop's sum, so the energy keeps its bits (an add tree would not).
+// The update runs the three AdaGrad steps lane block by lane block in the
+// order head, relation, tail and reloads each row after the previous row's
+// store, so a head that is also the tail sees both steps in sequence.
+// ---------------------------------------------------------------------------
+
+__attribute__((always_inline)) inline float TranslationResidualOf(
+    const float* h, const float* r, const float* t, float* res, size_t n) {
+  float energy = 0.0f;
+  for (size_t i = 0; i + kLanes <= n; i += kLanes) {
+    const __m256 v = _mm256_sub_ps(
+        _mm256_add_ps(_mm256_loadu_ps(h + i), _mm256_loadu_ps(r + i)),
+        _mm256_loadu_ps(t + i));
+    _mm256_storeu_ps(res + i, v);
+    alignas(32) float squares[kLanes];
+    _mm256_store_ps(squares, _mm256_mul_ps(v, v));
+    for (size_t l = 0; l < kLanes; ++l) energy += squares[l];
+  }
+  for (size_t i = TailStart(n); i < n; ++i) {
+    res[i] = h[i] + r[i] - t[i];
+    energy += res[i] * res[i];
+  }
+  return energy;
+}
+
+float Avx2TranslationResidual(const float* h, const float* r, const float* t,
+                              float* res, size_t n) {
+  // At the default width the row length is a constant here and the loops
+  // unroll (as in RowsOf).
+  if (n == kDefaultWidth) {
+    return TranslationResidualOf(h, r, t, res, kDefaultWidth);
+  }
+  return TranslationResidualOf(h, r, t, res, n);
+}
+
+__attribute__((always_inline)) inline void TranslationUpdateOf(
+    const TranslationStep& s, size_t n) {
+  const __m256 scale = _mm256_set1_ps(s.scale);
+  const __m256 vlr = _mm256_set1_ps(s.lr);
+  const __m256 veps = _mm256_set1_ps(s.eps);
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  for (size_t i = 0; i + kLanes <= n; i += kLanes) {
+    const __m256 g = _mm256_mul_ps(scale, _mm256_loadu_ps(s.residual + i));
+    AdagradLanes(s.head + i, s.head_acc + i, g, vlr, veps);
+    AdagradLanes(s.relation + i, s.relation_acc + i, g, vlr, veps);
+    AdagradLanes(s.tail + i, s.tail_acc + i, _mm256_xor_ps(g, sign), vlr,
+                 veps);
+  }
+  for (size_t i = TailStart(n); i < n; ++i) {
+    const float g = s.scale * s.residual[i];
+    AdagradStep(s.head[i], s.head_acc[i], g, s.lr, s.eps);
+    AdagradStep(s.relation[i], s.relation_acc[i], g, s.lr, s.eps);
+    AdagradStep(s.tail[i], s.tail_acc[i], -g, s.lr, s.eps);
+  }
+}
+
+void Avx2TranslationUpdate(const TranslationStep& step, size_t n) {
+  if (n == kDefaultWidth) {
+    TranslationUpdateOf(step, kDefaultWidth);
+  } else {
+    TranslationUpdateOf(step, n);
+  }
 }
 
 constexpr KernelTable kAvx2Table = {
@@ -470,6 +546,8 @@ constexpr KernelTable kAvx2Table = {
     /*gemm_block=*/Avx2GemmBlock,
     /*adagrad_update=*/Avx2AdagradUpdate,
     /*sgd_update=*/Avx2SgdUpdate,
+    /*translation_residual=*/Avx2TranslationResidual,
+    /*translation_update=*/Avx2TranslationUpdate,
 };
 
 }  // namespace

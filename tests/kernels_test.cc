@@ -1,16 +1,21 @@
 // Tests for the runtime-dispatched kernel layer (src/math/kernels.h,
 // DESIGN.md "Kernel dispatch"):
 //  * the scalar and AVX2 backends agree bitwise on every elementwise kernel
-//    (axpy/scale/add/sub/hadamard and the fused optimizer updates), on odd
-//    tail lengths and unaligned spans included;
+//    (axpy/scale/add/sub/hadamard, the fused optimizer updates and the
+//    TransE residual/update pair), on odd tail lengths and unaligned spans
+//    included;
 //  * reduction kernels (dot, norms, distances, GEMM) agree within a small
 //    ULP tolerance (the AVX2 backend reassociates the accumulation);
 //  * NaNs propagate instead of being masked;
 //  * the alignment pipeline stays bit-identical at 1 vs 8 threads, and the
 //    dense similarity matrix stays bit-identical to the streaming top-k,
-//    under whichever backend is active. The ctest registration runs this
-//    binary twice — once under the startup default and once with
-//    OPENEA_KERNELS=scalar — so both dispatch settings are pinned.
+//    under whichever backend is active;
+//  * the fused TransE pair step equals the unfused one it replaced, and the
+//    approaches built on the translational models train to pinned
+//    embeddings.
+// The ctest registration runs this binary twice — once under the startup
+// default and once with OPENEA_KERNELS=scalar — so both dispatch settings
+// are pinned.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +35,10 @@
 #include "src/align/topk.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
+#include "src/core/registry.h"
+#include "src/datagen/kg_pair.h"
+#include "src/embedding/translational.h"
+#include "src/eval/folds.h"
 #include "src/math/embedding_table.h"
 #include "src/math/kernels.h"
 #include "src/math/matrix.h"
@@ -394,6 +404,79 @@ TEST_F(KernelsTest, FusedOptimizerUpdatesBitIdenticalAcrossBackends) {
   }
 }
 
+TEST_F(KernelsTest, TranslationKernelsBitIdenticalAcrossBackends) {
+  for (size_t n = 1; n <= 40; ++n) {
+    // Rows at odd offsets: unaligned loads and every tail length.
+    const auto h = RandomVec(n + 1, 800 + n);
+    const auto r = RandomVec(n + 1, 900 + n);
+    const auto t = RandomVec(n + 1, 1000 + n);
+    std::vector<float> res_s(n), res_v(n);
+    const float es = scalar_.translation_residual(h.data() + 1, r.data() + 1,
+                                                  t.data() + 1, res_s.data(),
+                                                  n);
+    const float ev = avx2_.translation_residual(h.data() + 1, r.data() + 1,
+                                                t.data() + 1, res_v.data(), n);
+    ASSERT_EQ(es, ev) << "energy n=" << n;
+    ASSERT_EQ(res_s, res_v) << "residual n=" << n;
+    // The energy is the sequential sum, not a reassociated one.
+    float sequential = 0.0f;
+    for (size_t i = 0; i < n; ++i) {
+      const float v = h[i + 1] + r[i + 1] - t[i + 1];
+      sequential += v * v;
+    }
+    ASSERT_EQ(es, sequential) << "sequential energy n=" << n;
+
+    // The gradient of a negative under BootEA's limit loss, w = 0.5.
+    const float scale = -0.5f * 2.0f;
+    std::vector<float> g(n), neg_g(n);
+    for (size_t i = 0; i < n; ++i) {
+      g[i] = scale * res_s[i];
+      neg_g[i] = -g[i];
+    }
+    auto acc0 = RandomVec(3 * n, 1100 + n, 0.5f);
+    for (float& a : acc0) a = std::fabs(a);
+    // Rows [head | tail | relation | their three accumulators]; a
+    // self-loop's tail is the head row.
+    auto fresh = [&] {
+      std::vector<float> rows(h.begin() + 1, h.end());
+      rows.insert(rows.end(), t.begin() + 1, t.end());
+      rows.insert(rows.end(), r.begin() + 1, r.end());
+      rows.insert(rows.end(), acc0.begin(), acc0.end());
+      return rows;
+    };
+    for (const bool self_loop : {false, true}) {
+      const size_t tail = self_loop ? 0 : n;
+      auto fused = [&](const KernelTable& table) {
+        std::vector<float> rows = fresh();
+        float* acc = rows.data() + 3 * n;
+        TranslationStep step;
+        step.head = rows.data();
+        step.head_acc = acc;
+        step.relation = rows.data() + 2 * n;
+        step.relation_acc = acc + 2 * n;
+        step.tail = rows.data() + tail;
+        step.tail_acc = acc + tail;
+        step.residual = res_s.data();
+        step.scale = scale;
+        step.lr = 0.05f;
+        step.eps = 1e-8f;
+        table.translation_update(step, n);
+        return rows;
+      };
+      // The reference: three adagrad_update calls, head, relation, tail.
+      std::vector<float> want = fresh();
+      float* acc = want.data() + 3 * n;
+      scalar_.adagrad_update(want.data(), acc, g.data(), n, 0.05f, 1e-8f);
+      scalar_.adagrad_update(want.data() + 2 * n, acc + 2 * n, g.data(), n,
+                             0.05f, 1e-8f);
+      scalar_.adagrad_update(want.data() + tail, acc + tail, neg_g.data(), n,
+                             0.05f, 1e-8f);
+      ASSERT_EQ(fused(scalar_), want) << "scalar n=" << n << " " << self_loop;
+      ASSERT_EQ(fused(avx2_), want) << "avx2 n=" << n << " " << self_loop;
+    }
+  }
+}
+
 TEST_F(KernelsTest, GemmBlockAgreesWithinUlpsAndKeepsZeroSkip) {
   const size_t m = 7, k = 33, n = 19;
   auto a = RandomVec(m * k, 11);
@@ -540,6 +623,280 @@ TEST(KernelDeterminismTest, EmbeddingUpdatesBitIdenticalAtOneVsEightThreads) {
     return std::vector<float>(table.Data().begin(), table.Data().end());
   };
   ASSERT_EQ(run(1), run(8)) << "backend " << BackendName(ActiveBackend());
+}
+
+// ---------------------------------------------------------------------------
+// The fused TransE pair step (translation_residual + translation_update)
+// against a verbatim copy of the unfused step it replaced, under whichever
+// backend the ctest registration selected.
+// ---------------------------------------------------------------------------
+
+/// TransEModel's pair step before the translation kernels: temporary
+/// residual and gradient rows, a scalar residual loop, and six
+/// ApplyGradient calls. Kept verbatim as the bitwise reference.
+struct UnfusedTransE {
+  embedding::TripleModelOptions options_;
+  embedding::TransEModel::LimitLoss limit_;
+  EmbeddingTable entities_;
+  EmbeddingTable relations_;
+
+  struct PairGate {
+    bool active = false;
+    float loss = 0.0f;
+  };
+
+  static PairGate MarginGate(float margin, float pos_energy,
+                             float neg_energy) {
+    PairGate gate;
+    const float raw = margin + pos_energy - neg_energy;
+    if (raw > 0.0f) {
+      gate.active = true;
+      gate.loss = raw;
+    }
+    return gate;
+  }
+
+  float Energy(const kg::Triple& t, std::span<float> residual) const {
+    const auto h = entities_.Row(t.head);
+    const auto r = relations_.Row(t.relation);
+    const auto tl = entities_.Row(t.tail);
+    float energy = 0.0f;
+    for (size_t i = 0; i < residual.size(); ++i) {
+      residual[i] = h[i] + r[i] - tl[i];
+      energy += residual[i] * residual[i];
+    }
+    return energy;
+  }
+
+  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
+    const size_t d = options_.dim;
+    std::vector<float> rp(d), rn(d), grad(d);
+    const float ep = Energy(pos, rp);
+    const float en = Energy(neg, rn);
+    const float lr = options_.learning_rate;
+
+    auto descend = [&](const kg::Triple& t, std::span<const float> residual,
+                       float direction) {
+      // dE/dh = 2 residual; dE/dr = 2 residual; dE/dt = -2 residual.
+      for (size_t i = 0; i < d; ++i) grad[i] = direction * 2.0f * residual[i];
+      entities_.ApplyGradient(t.head, grad, lr);
+      relations_.ApplyGradient(t.relation, grad, lr);
+      for (size_t i = 0; i < d; ++i) grad[i] = -grad[i];
+      entities_.ApplyGradient(t.tail, grad, lr);
+    };
+
+    if (limit_.enabled) {
+      // Limit-based loss (BootEA): max(0, E(pos) - l_pos) +
+      // w * max(0, l_neg - E(neg)).
+      float loss = 0.0f;
+      if (ep > limit_.limit_pos) {
+        descend(pos, rp, +1.0f);
+        loss += ep - limit_.limit_pos;
+      }
+      if (en < limit_.limit_neg) {
+        descend(neg, rn, -limit_.neg_weight);
+        loss += limit_.neg_weight * (limit_.limit_neg - en);
+      }
+      return loss;
+    }
+
+    const PairGate gate = MarginGate(options_.margin, ep, en);
+    if (!gate.active) return 0.0f;
+    descend(pos, rp, +1.0f);
+    descend(neg, rn, -1.0f);
+    return gate.loss;
+  }
+
+  float TrainOnPositive(const kg::Triple& pos) {
+    // MTransE-style positive-only energy minimization.
+    const size_t d = options_.dim;
+    std::vector<float> residual(d), grad(d);
+    const float energy = Energy(pos, residual);
+    const float lr = options_.learning_rate;
+    for (size_t i = 0; i < d; ++i) grad[i] = 2.0f * residual[i];
+    entities_.ApplyGradient(pos.head, grad, lr);
+    relations_.ApplyGradient(pos.relation, grad, lr);
+    for (size_t i = 0; i < d; ++i) grad[i] = -grad[i];
+    entities_.ApplyGradient(pos.tail, grad, lr);
+    return energy;
+  }
+
+  float ScoreTriple(const kg::Triple& t) const {
+    std::vector<float> residual(options_.dim);
+    return -Energy(t, residual);
+  }
+};
+
+std::vector<uint32_t> Bits(std::span<const float> values) {
+  std::vector<uint32_t> bits(values.size());
+  if (!values.empty()) {
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+  }
+  return bits;
+}
+
+uint32_t Bits(float value) {
+  uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void ExpectTablesBitIdentical(const EmbeddingTable& got,
+                              const EmbeddingTable& want,
+                              const std::string& what) {
+  ASSERT_EQ(Bits(got.Data()), Bits(want.Data())) << what << " rows";
+  ASSERT_EQ(Bits(got.AdagradData()), Bits(want.AdagradData()))
+      << what << " AdaGrad state";
+}
+
+TEST(TransEPairStepTest, FusedStepMatchesUnfusedBitForBit) {
+  // Few rows, so heads, tails and corruptions collide often.
+  constexpr size_t kEntities = 7;
+  constexpr size_t kRelations = 3;
+  constexpr int kPairs = 120;
+  size_t active[2] = {}, inactive[2] = {};
+  for (size_t d = 1; d <= 40; ++d) {
+    for (const bool limit : {false, true}) {
+      embedding::TripleModelOptions options;
+      options.dim = d;
+      options.margin = d % 2 == 0 ? 0.5f : 1.5f;
+      embedding::TransEModel::LimitLoss limit_loss;
+      limit_loss.enabled = limit;
+      // Each limit pair alternates which of its two hinges are open.
+      const float kLimitPos[] = {0.2f, 1.0f, 3.0f};
+      const float kLimitNeg[] = {2.5f, 2.5f, 1.0f};
+      limit_loss.limit_pos = kLimitPos[d % 3];
+      limit_loss.limit_neg = kLimitNeg[d % 3];
+      Rng init(1000 + d);
+      embedding::TransEModel model(kEntities, kRelations, options, init,
+                                   limit_loss);
+      UnfusedTransE ref{options, limit_loss, model.entity_table(),
+                        model.relation_table()};
+      const std::string where = "d=" + std::to_string(d) +
+                                (limit ? " limit" : " margin") + " backend " +
+                                BackendName(ActiveBackend());
+      Rng draw(2000 + d);
+      auto entity = [&] {
+        return static_cast<kg::EntityId>(draw.NextBounded(kEntities));
+      };
+      for (int step = 0; step < kPairs; ++step) {
+        kg::Triple pos{entity(),
+                       static_cast<kg::RelationId>(
+                           draw.NextBounded(kRelations)),
+                       entity()};
+        if (step % 9 == 0) pos.tail = pos.head;  // A self-loop.
+        kg::Triple neg = pos;
+        switch (step % 5) {
+          case 0: neg.head = entity(); break;
+          case 1: neg.tail = entity(); break;
+          case 2: break;  // The negative equals the positive.
+          case 3: neg.head = pos.tail; break;  // Replacement = other end.
+          case 4: neg.tail = pos.head; break;
+        }
+        const float want = ref.TrainOnPair(pos, neg);
+        const float got = model.TrainOnPair(pos, neg);
+        ASSERT_EQ(Bits(got), Bits(want)) << where << " pair " << step;
+        ++(want > 0.0f ? active : inactive)[limit];
+      }
+      ExpectTablesBitIdentical(model.entity_table(), ref.entities_,
+                               where + " entities");
+      ExpectTablesBitIdentical(model.relation_table(), ref.relations_,
+                               where + " relations");
+      for (int step = 0; step < 20; ++step) {
+        kg::Triple pos{entity(),
+                       static_cast<kg::RelationId>(
+                           draw.NextBounded(kRelations)),
+                       entity()};
+        if (step % 4 == 0) pos.tail = pos.head;
+        ASSERT_EQ(Bits(model.TrainOnPositive(pos)),
+                  Bits(ref.TrainOnPositive(pos)))
+            << where << " positive " << step;
+        ASSERT_EQ(Bits(model.ScoreTriple(pos)), Bits(ref.ScoreTriple(pos)))
+            << where << " score " << step;
+      }
+      ExpectTablesBitIdentical(model.entity_table(), ref.entities_,
+                               where + " entities after positives");
+      ExpectTablesBitIdentical(model.relation_table(), ref.relations_,
+                               where + " relations after positives");
+    }
+  }
+  // Both losses took and skipped updates many times over.
+  for (int limit = 0; limit < 2; ++limit) {
+    EXPECT_GT(active[limit], 400u) << "limit " << limit;
+    EXPECT_GT(inactive[limit], 400u) << "limit " << limit;
+  }
+}
+
+// FNV-1a digests of the final embeddings of approaches built on the
+// translational models, on a small seeded task, one per backend, taken
+// before the TransE pair step was fused and the TransH/R/D steps lost their
+// per-call allocations. Any change to a training float changes them.
+uint64_t HashModel(const core::AlignmentModel& model) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const Matrix* m : {&model.emb1, &model.emb2}) {
+    const uint64_t shape[2] = {m->rows(), m->cols()};
+    const auto* p = reinterpret_cast<const unsigned char*>(shape);
+    for (size_t i = 0; i < sizeof(shape); ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+    p = reinterpret_cast<const unsigned char*>(m->Data().data());
+    for (size_t i = 0; i < m->size() * sizeof(float); ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(TrainPinTest, TranslationalApproachesTrainBitIdentically) {
+  datagen::SyntheticKgConfig kg_config;
+  kg_config.num_entities = 300;
+  kg_config.avg_degree = 6.0;
+  kg_config.num_relations = 15;
+  kg_config.num_attributes = 12;
+  kg_config.vocabulary_size = 150;
+  kg_config.seed = 77;
+  const datagen::DatasetPair pair = GenerateDatasetPair(
+      kg_config, datagen::HeterogeneityProfile::EnFr(), 77);
+  const auto folds = eval::MakeFolds(pair.reference, 5, 0.1, 3);
+  core::AlignmentTask task;
+  task.kg1 = &pair.kg1;
+  task.kg2 = &pair.kg2;
+  task.train = folds[0].train;
+  task.valid = folds[0].valid;
+  task.test = folds[0].test;
+  task.dictionary = &pair.dictionary;
+
+  // {approach, scalar pin, avx2 pin}. MultiKE runs TransE's margin loss,
+  // BootEA its limit loss, MTransE its positive-only step; the MTransE
+  // chassis runs TransH, TransR and TransD pair steps.
+  const struct {
+    const char* name;
+    uint64_t pin[2];
+  } kPins[] = {
+      {"MultiKE", {0xd7b55a42835aab27ULL, 0x8abfa745b44ea318ULL}},
+      {"BootEA", {0xdfee769e8d08f712ULL, 0x1a9515a9dce55337ULL}},
+      {"MTransE", {0xde84254b7e6a27a4ULL, 0xc922365114b86608ULL}},
+      {"MTransE-TransH", {0x2a2b2411d0a9d3afULL, 0x6afa37cbee6baef6ULL}},
+      {"MTransE-TransR", {0xb50047a544df3bf3ULL, 0x8393ef538b4e8cfeULL}},
+      {"MTransE-TransD", {0xf45cc638ddb70eeaULL, 0x86f64a65856c04d7ULL}},
+  };
+  // One thread: the serial epoch path (more threads shard the draws).
+  ThreadGuard guard;
+  SetThreads(1);
+  const int backend = ActiveBackend() == Backend::kAvx2 ? 1 : 0;
+  for (const auto& pin : kPins) {
+    core::TrainConfig config;
+    config.max_epochs = 12;
+    config.eval_every = 4;
+    config.seed = 5;
+    const uint64_t h =
+        HashModel(core::CreateApproachOrDie(pin.name, config)->Train(task));
+    EXPECT_EQ(h, pin.pin[backend])
+        << pin.name << " backend " << BackendName(ActiveBackend()) << ": 0x"
+        << std::hex << h << "ULL";
+  }
 }
 
 }  // namespace
