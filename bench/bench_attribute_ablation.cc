@@ -30,9 +30,11 @@ int main(int argc, char** argv) {
       core::TrainConfig without_attr = with_attr;
       without_attr.use_attributes = false;
       const auto r_with =
-          core::RunCrossValidation(name, dataset, with_attr, args.folds);
+          core::RunCrossValidation(name, dataset, with_attr, args.folds,
+                                   args.checkpoint);
       const auto r_without =
-          core::RunCrossValidation(name, dataset, without_attr, args.folds);
+          core::RunCrossValidation(name, dataset, without_attr, args.folds,
+                                   args.checkpoint);
       table.AddRow({name, bench::Cell(r_with.hits1),
                     bench::Cell(r_without.hits1),
                     FormatDouble(r_with.hits1.mean - r_without.hits1.mean,

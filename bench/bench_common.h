@@ -7,8 +7,9 @@
 //   --folds=N             cross-validation folds to run (default varies)
 //   --epochs=N            training epoch budget (default varies)
 //   --seed=N              master seed (default 7)
-//   --threads=N           compute-core worker threads (default 1 = the
-//                         exact serial path; 0 = all hardware threads)
+//   --threads=N           compute-core worker threads (default 1; 0 = all
+//                         hardware threads); results are bit-identical at
+//                         any count
 //   --approaches=csv      subset of registered approaches to run (default:
 //                         the paper's 12; benches pinned to specific
 //                         approaches ignore it)
@@ -72,9 +73,9 @@ struct BenchArgs {
   int threads = 1;
   std::string json_path;   // Empty = no JSON telemetry.
   std::string trace_path;  // Empty = no Chrome trace timeline.
-  std::string checkpoint_dir;  // Empty = no fold checkpoints.
-  bool resume = false;
-  std::string shard_dir;  // Empty = in-RAM eval; set = out-of-core eval.
+  /// --checkpoint-dir, --resume and --shard-dir; every RunCrossValidation
+  /// call passes it.
+  core::CheckpointConfig checkpoint;
   /// Sweep axis for scale benches (--sizes=csv); empty = bench default.
   std::vector<size_t> sizes;
   /// Heartbeat/flush period of the live-metrics thread; <= 0 = off.
@@ -149,16 +150,16 @@ inline BenchArgs ParseArgs(const std::string& bench_name, int argc,
         std::exit(2);
       }
     } else if (StartsWith(arg, "--checkpoint-dir=")) {
-      args.checkpoint_dir = arg.substr(17);
-      if (args.checkpoint_dir.empty()) {
+      args.checkpoint.directory = arg.substr(17);
+      if (args.checkpoint.directory.empty()) {
         std::fprintf(stderr, "--checkpoint-dir requires a path\n");
         std::exit(2);
       }
     } else if (arg == "--resume") {
-      args.resume = true;
+      args.checkpoint.resume = true;
     } else if (StartsWith(arg, "--shard-dir=")) {
-      args.shard_dir = arg.substr(12);
-      if (args.shard_dir.empty()) {
+      args.checkpoint.shard_dir = arg.substr(12);
+      if (args.checkpoint.shard_dir.empty()) {
         std::fprintf(stderr, "--shard-dir requires a path\n");
         std::exit(2);
       }
@@ -215,18 +216,9 @@ inline BenchArgs ParseArgs(const std::string& bench_name, int argc,
   SetThreads(args.threads);
   args.threads = Threads();  // Resolve 0 -> hardware thread count.
 
-  if (args.resume && args.checkpoint_dir.empty()) {
+  if (args.checkpoint.resume && !args.checkpoint.enabled()) {
     std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
     std::exit(2);
-  }
-  if (!args.checkpoint_dir.empty() || !args.shard_dir.empty()) {
-    // Route every RunCrossValidation call in this bench through the
-    // fault-tolerant path without touching individual benches.
-    core::CheckpointConfig checkpoint_config;
-    checkpoint_config.directory = args.checkpoint_dir;
-    checkpoint_config.resume = args.resume;
-    checkpoint_config.shard_dir = args.shard_dir;
-    core::SetDefaultCheckpointConfig(checkpoint_config);
   }
 
   if (!args.trace_path.empty()) {

@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
       conventional::RunParis(dataset.pair.kg1, dataset.pair.kg2, conv));
 
   // OpenEA: best approach's greedy matching over the full reference space.
-  const auto result = core::RunCrossValidation("RDGCN", dataset, config, 1);
+  const auto result =
+      core::RunCrossValidation("RDGCN", dataset, config, 1, args.checkpoint);
   std::unordered_set<int64_t> openea;
   {
     const auto correct = eval::CorrectlyMatched(

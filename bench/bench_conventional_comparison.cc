@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     std::string best_name;
     for (const char* name : kCandidates) {
       const auto result =
-          core::RunCrossValidation(name, dataset, config, 1);
+          core::RunCrossValidation(name, dataset, config, 1, args.checkpoint);
       if (result.hits1.mean > best) {
         best = result.hits1.mean;
         best_name = name;

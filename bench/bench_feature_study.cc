@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       config.use_relations = relations_only;
       config.use_attributes = !relations_only;
       const auto result =
-          core::RunCrossValidation(system, dataset, config, 1);
+          core::RunCrossValidation(system, dataset, config, 1, args.checkpoint);
       table.AddRow({system,
                     relations_only ? "relations only" : "attributes only",
                     bench::Cell(result.hits1), bench::Cell(result.hits1),

@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
     double best_hits1 = -1.0;
     for (const auto& name : args.approaches) {
       const auto result =
-          core::RunCrossValidation(name, dataset, config, args.folds);
+          core::RunCrossValidation(name, dataset, config, args.folds,
+                                   args.checkpoint);
       table.AddRow({name, bench::Cell(result.hits1),
                     bench::Cell(result.hits5), bench::Cell(result.mrr),
                     FormatDouble(result.mean_seconds, 1)});

@@ -113,7 +113,8 @@ int main(int argc, char** argv) {
       const bool expects_abstention = noise > 0.0 || dangling > 0.0;
       for (const std::string& name : approaches) {
         const auto result =
-            core::RunCrossValidation(name, dataset, config, args.folds);
+            core::RunCrossValidation(name, dataset, config, args.folds,
+                                     args.checkpoint);
         OPENEA_CHECK_EQ(result.has_abstention ? 1 : 0,
                         expects_abstention ? 1 : 0)
             << name << " " << cell

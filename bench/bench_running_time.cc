@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
   for (const auto& name : args.approaches) {
     double total = 0.0;
     for (const auto& dataset : datasets) {
-      total += core::RunCrossValidation(name, dataset, config, 1)
+      total += core::RunCrossValidation(name, dataset, config, 1,
+                                        args.checkpoint)
                    .mean_seconds;
     }
     const double mean = total / static_cast<double>(datasets.size());

@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
   const std::vector<size_t> sizes =
       args.sizes.empty() ? std::vector<size_t>{base / 2, base} : args.sizes;
   const std::string approach = args.approaches.front();
-  const std::string shard_dir =
-      args.shard_dir.empty() ? "scale_sweep_shards" : args.shard_dir;
+  core::CheckpointConfig checkpoint = args.checkpoint;
+  if (!checkpoint.sharded_eval()) checkpoint.shard_dir = "scale_sweep_shards";
+  const std::string& shard_dir = checkpoint.shard_dir;
   constexpr double kBudgetMb = 4096.0;
   telemetry::SetGauge("mem/scale_budget_mb", kBudgetMb);
 
@@ -87,12 +88,9 @@ int main(int argc, char** argv) {
     // candidate rows through a shard-banked table under shard_dir instead of
     // holding the test sub-matrix in RAM.
     core::TrainConfig config = bench::MakeTrainConfig(args);
-    core::CheckpointConfig checkpoint_config =
-        core::DefaultCheckpointConfig();
-    checkpoint_config.shard_dir = shard_dir;
     phase_watch.Reset();
     const core::CrossValidationResult result = core::RunCrossValidation(
-        approach, dataset, config, args.folds, checkpoint_config);
+        approach, dataset, config, args.folds, checkpoint);
     const double cv_seconds = phase_watch.ElapsedSeconds();
 
     // Serve-loadable checkpoint: spill the trained target-KG table to a

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {name};
     for (const auto& dataset : datasets) {
       const auto result =
-          core::RunCrossValidation(name, dataset, config, args.folds);
+          core::RunCrossValidation(name, dataset, config, args.folds,
+                                   args.checkpoint);
       row.push_back(FormatDouble(result.hits1.mean, 3));
       std::fflush(stdout);
     }

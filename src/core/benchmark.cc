@@ -123,6 +123,8 @@ struct FoldRecord {
 /// Fingerprint of everything the per-fold computation depends on. A resumed
 /// run with a different configuration must not splice foreign fold results
 /// into its aggregates, so the checkpoint is ignored unless this matches.
+/// `config.threads` is left out: results are bit-identical at any thread
+/// count, so a run may resume at a different one.
 uint64_t ConfigFingerprint(const std::string& approach_name,
                            const BenchmarkDataset& dataset,
                            const TrainConfig& config, int num_folds) {
@@ -151,7 +153,6 @@ uint64_t ConfigFingerprint(const std::string& approach_name,
   mix_u64(static_cast<uint64_t>(config.negatives_per_positive));
   mix_u64(config.batch_size);
   mix_u64(config.seed);
-  mix_u64(static_cast<uint64_t>(config.threads));
   mix_u64(config.use_attributes ? 1 : 0);
   mix_u64(config.use_relations ? 1 : 0);
   mix_f32(config.abstention_threshold);
@@ -312,11 +313,6 @@ StatusOr<CvCheckpointState> LoadCvCheckpoint(const std::string& path) {
   return state;
 }
 
-CheckpointConfig& MutableDefaultCheckpointConfig() {
-  static CheckpointConfig* config = new CheckpointConfig();
-  return *config;
-}
-
 }  // namespace
 
 StatusOr<AlignmentModel> LoadCvFoldModel(const std::string& path) {
@@ -327,22 +323,6 @@ StatusOr<AlignmentModel> LoadCvFoldModel(const std::string& path) {
         "CV checkpoint " + path + " has no completed fold 0 yet");
   }
   return std::move(state->first_fold_model);
-}
-
-void SetDefaultCheckpointConfig(const CheckpointConfig& config) {
-  MutableDefaultCheckpointConfig() = config;
-}
-
-const CheckpointConfig& DefaultCheckpointConfig() {
-  return MutableDefaultCheckpointConfig();
-}
-
-CrossValidationResult RunCrossValidation(const std::string& approach_name,
-                                         const BenchmarkDataset& dataset,
-                                         const TrainConfig& config,
-                                         int num_folds) {
-  return RunCrossValidation(approach_name, dataset, config, num_folds,
-                            DefaultCheckpointConfig());
 }
 
 CrossValidationResult RunCrossValidation(
@@ -662,25 +642,6 @@ CrossValidationResult RunCrossValidation(
   telemetry::SetGauge("cv/last_hits1_mean", result.hits1.mean);
   if (telemetry::Enabled()) {
     telemetry::SetGauge("mem/peak_rss_mb", telemetry::PeakRssMb());
-  }
-  return result;
-}
-
-CrossValidationResult RunCrossValidation(const std::string& approach_name,
-                                         const BenchmarkDataset& dataset,
-                                         const TrainConfig& config,
-                                         int num_folds,
-                                         const trace::TraceConfig& trace_config) {
-  const bool own_session =
-      !trace_config.path.empty() && !trace::Enabled();
-  if (own_session) trace::Start(trace_config);
-  CrossValidationResult result =
-      RunCrossValidation(approach_name, dataset, config, num_folds);
-  if (own_session) {
-    const Status exported = trace::StopAndExport();
-    if (!exported.ok()) {
-      OPENEA_LOG(kError) << "trace export failed: " << exported.ToString();
-    }
   }
   return result;
 }

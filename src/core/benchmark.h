@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/health.h"
-#include "src/common/trace.h"
 #include "src/core/approach.h"
 #include "src/core/task.h"
 #include "src/datagen/kg_pair.h"
@@ -147,6 +146,15 @@ struct CrossValidationResult {
 
 /// Trains and evaluates the named approach over `num_folds` folds of
 /// `dataset` (paper protocol: train 20% / valid 10% / test 70%).
+/// `checkpoint` sets the fold checkpoints, the health-guard retry policy and
+/// the out-of-core eval; the default writes no checkpoint and evaluates in
+/// RAM.
+///
+/// Determinism: the result depends only on the arguments. It is bit-identical
+/// at any `config.threads`, and a run killed at any point and resumed from
+/// its checkpoint directory, at the same or any other thread count, produces
+/// the same metrics, trace, and first-fold embeddings, bit for bit, as an
+/// uninterrupted run.
 ///
 /// Robustness: folds always split the *clean* reference. When the dataset
 /// pair carries corrupted seeds (`noisy_reference`), the train and valid
@@ -156,33 +164,10 @@ struct CrossValidationResult {
 /// fold additionally runs the abstention-aware evaluation at
 /// `TrainConfig::abstention_threshold` (aggregated into the
 /// `abstention_*` fields, gauge `robust/last_abstention_f1_mean`).
-CrossValidationResult RunCrossValidation(const std::string& approach_name,
-                                         const BenchmarkDataset& dataset,
-                                         const TrainConfig& config,
-                                         int num_folds);
-
-/// Same, with event tracing for library callers that do not go through the
-/// bench driver's --trace flag: when `trace_config.path` is non-empty and no
-/// trace session is already active, a session is started for the duration
-/// of this run and the Chrome trace JSON is exported on return. An already
-/// active session (e.g. a bench-level --trace spanning several runs) is
-/// left untouched.
-CrossValidationResult RunCrossValidation(const std::string& approach_name,
-                                         const BenchmarkDataset& dataset,
-                                         const TrainConfig& config,
-                                         int num_folds,
-                                         const trace::TraceConfig& trace_config);
-
-/// Fault-tolerant variant: fold-granular checkpoint/resume under
-/// `checkpoint_config` plus the health-guard retry policy. The plain
-/// overloads route here with DefaultCheckpointConfig(). Determinism
-/// contract: a run killed at any point and resumed from its checkpoint
-/// directory produces the same metrics, trace, and first-fold embeddings,
-/// bit for bit, as an uninterrupted run at the same thread count.
 CrossValidationResult RunCrossValidation(
     const std::string& approach_name, const BenchmarkDataset& dataset,
     const TrainConfig& config, int num_folds,
-    const CheckpointConfig& checkpoint_config);
+    const CheckpointConfig& checkpoint = {});
 
 /// Loads the fold-0 alignment model (emb1 = source KG, emb2 = target KG
 /// embeddings) out of a CV checkpoint written under `CheckpointConfig`.
@@ -192,13 +177,6 @@ CrossValidationResult RunCrossValidation(
 /// when the file is absent; FailedPrecondition when it exists but predates
 /// a completed fold 0 (nothing to serve yet) or is not a CV checkpoint.
 StatusOr<AlignmentModel> LoadCvFoldModel(const std::string& path);
-
-/// Process-wide default CheckpointConfig used by the overloads that do not
-/// take one explicitly. Set by the bench driver from --checkpoint-dir /
-/// --resume so checkpointing reaches every bench through the shared flag
-/// plumbing (bench/bench_common.h) without per-bench changes.
-void SetDefaultCheckpointConfig(const CheckpointConfig& config);
-const CheckpointConfig& DefaultCheckpointConfig();
 
 }  // namespace openea::core
 

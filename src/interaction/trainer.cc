@@ -53,18 +53,25 @@ void RecordEpoch(const char* kind, float loss, size_t positives,
   }
 }
 
-/// Positives per shard for the sharded epoch paths. Fixed (never derived
-/// from the thread count) so the shard → RNG-stream assignment, and with it
-/// every drawn corruption, is identical no matter how many threads run.
+/// Positives per shard of the epoch draws. Fixed (never derived from the
+/// thread count) so the shard -> RNG-stream assignment, and with it every
+/// drawn corruption, is identical no matter how many threads run.
 constexpr size_t kEpochShardSize = 256;
 
-bool UseShardedPath(EpochMode mode) {
-  switch (mode) {
-    case EpochMode::kSerial: return false;
-    case EpochMode::kSharded: return true;
-    case EpochMode::kAuto: return Threads() > 1;
-  }
-  return false;
+/// Calls draw(i, stream) for every i in [0, count), shard-parallel, where
+/// `stream` is Rng::Fork(shard) of i's shard and visits the shard in order.
+/// `rng` is not advanced. Sharding over shard *indices* (not raw ParallelFor
+/// chunks) keeps the stream assignment exact on the pool's serial fast path.
+template <typename Draw>
+void ShardedDraw(size_t count, const Rng& rng, const Draw& draw) {
+  const size_t num_shards = (count + kEpochShardSize - 1) / kEpochShardSize;
+  ParallelFor(0, num_shards, 1, [&](size_t shard_begin, size_t shard_end) {
+    for (size_t s = shard_begin; s < shard_end; ++s) {
+      Rng stream = rng.Fork(s);
+      const size_t hi = std::min(count, (s + 1) * kEpochShardSize);
+      for (size_t i = s * kEpochShardSize; i < hi; ++i) draw(i, stream);
+    }
+  });
 }
 
 }  // namespace
@@ -72,8 +79,7 @@ bool UseShardedPath(EpochMode mode) {
 EpochOutcome TrainEpoch(embedding::TripleModel& model,
                         const std::vector<kg::Triple>& triples, int negatives,
                         Rng& rng,
-                        const embedding::TruncatedNegativeSampler* truncated,
-                        EpochMode mode) {
+                        const embedding::TruncatedNegativeSampler* truncated) {
   if (triples.empty()) return {};
   telemetry::ScopedSpan span("train_epoch");
   Stopwatch watch;
@@ -82,47 +88,25 @@ EpochOutcome TrainEpoch(embedding::TripleModel& model,
   rng.Shuffle(order);
   const size_t n = model.num_entities();
   const bool use_truncated = truncated != nullptr && truncated->initialized();
-  auto draw = [&](const kg::Triple& pos, Rng& stream) {
-    return use_truncated ? truncated->Corrupt(pos, n, stream)
-                         : embedding::CorruptUniform(pos, n, stream);
-  };
 
-  float total = 0.0f;
-  if (!UseShardedPath(mode)) {
-    for (size_t idx : order) {
-      const kg::Triple& pos = triples[idx];
-      for (int k = 0; k < negatives; ++k) {
-        total += model.TrainOnPair(pos, draw(pos, rng));
-      }
+  // Corruptions are drawn shard-parallel from forked streams, then the
+  // (sequentially dependent) gradient updates replay serially in shuffle
+  // order.
+  const size_t per_positive = static_cast<size_t>(std::max(negatives, 0));
+  std::vector<kg::Triple> negs(order.size() * per_positive);
+  ShardedDraw(order.size(), rng, [&](size_t i, Rng& stream) {
+    const kg::Triple& pos = triples[order[i]];
+    for (size_t k = 0; k < per_positive; ++k) {
+      negs[i * per_positive + k] =
+          use_truncated ? truncated->Corrupt(pos, n, stream)
+                        : embedding::CorruptUniform(pos, n, stream);
     }
-  } else {
-    // Shard-and-merge: corruptions are drawn shard-parallel from forked
-    // streams, then the (sequentially dependent) gradient updates replay
-    // serially in shuffle order. Sharding over shard *indices* (not raw
-    // ParallelFor chunks) keeps the stream assignment exact even on the
-    // pool's serial fast path.
-    const size_t per_positive = static_cast<size_t>(std::max(negatives, 0));
-    std::vector<kg::Triple> negs(order.size() * per_positive);
-    const size_t num_shards =
-        (order.size() + kEpochShardSize - 1) / kEpochShardSize;
-    ParallelFor(0, num_shards, 1, [&](size_t shard_begin, size_t shard_end) {
-      for (size_t s = shard_begin; s < shard_end; ++s) {
-        Rng stream = rng.Fork(s);
-        const size_t lo = s * kEpochShardSize;
-        const size_t hi = std::min(order.size(), lo + kEpochShardSize);
-        for (size_t i = lo; i < hi; ++i) {
-          const kg::Triple& pos = triples[order[i]];
-          for (size_t k = 0; k < per_positive; ++k) {
-            negs[i * per_positive + k] = draw(pos, stream);
-          }
-        }
-      }
-    });
-    for (size_t i = 0; i < order.size(); ++i) {
-      const kg::Triple& pos = triples[order[i]];
-      for (size_t k = 0; k < per_positive; ++k) {
-        total += model.TrainOnPair(pos, negs[i * per_positive + k]);
-      }
+  });
+  float total = 0.0f;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const kg::Triple& pos = triples[order[i]];
+    for (size_t k = 0; k < per_positive; ++k) {
+      total += model.TrainOnPair(pos, negs[i * per_positive + k]);
     }
   }
   model.PostEpoch();
@@ -157,30 +141,24 @@ EpochOutcome TrainEpochPositiveOnly(embedding::TripleModel& model,
 EpochOutcome CalibrateEpoch(
     math::EmbeddingTable& entities,
     const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs,
-    float learning_rate, float margin, int negatives, Rng& rng,
-    EpochMode mode) {
+    float learning_rate, float margin, int negatives, Rng& rng) {
   telemetry::ScopedSpan span("calibrate_epoch");
   Stopwatch watch;
   const size_t d = entities.dim();
   const size_t n = entities.num_rows();
 
-  // Sharded path: presample the negative candidates shard-parallel from
-  // forked streams, then apply the (sequentially dependent) updates in pair
-  // order, consuming the presampled ids instead of the live stream.
-  const size_t per_pair = static_cast<size_t>(std::max(negatives, 0));
+  // Presample the negative candidates shard-parallel from forked streams,
+  // then apply the (sequentially dependent) updates in pair order. With no
+  // rows to draw from, no negatives are drawn.
+  const size_t per_pair =
+      n > 0 ? static_cast<size_t>(std::max(negatives, 0)) : 0;
   std::vector<kg::EntityId> candidates;
-  if (UseShardedPath(mode) && per_pair > 0 && n > 0) {
+  if (per_pair > 0) {
     candidates.resize(pairs.size() * per_pair);
-    const size_t num_shards =
-        (pairs.size() + kEpochShardSize - 1) / kEpochShardSize;
-    ParallelFor(0, num_shards, 1, [&](size_t shard_begin, size_t shard_end) {
-      for (size_t s = shard_begin; s < shard_end; ++s) {
-        Rng stream = rng.Fork(s);
-        const size_t lo = s * kEpochShardSize;
-        const size_t hi = std::min(pairs.size(), lo + kEpochShardSize);
-        for (size_t i = lo * per_pair; i < hi * per_pair; ++i) {
-          candidates[i] = static_cast<kg::EntityId>(stream.NextBounded(n));
-        }
+    ShardedDraw(pairs.size(), rng, [&](size_t i, Rng& stream) {
+      for (size_t k = 0; k < per_pair; ++k) {
+        candidates[i * per_pair + k] =
+            static_cast<kg::EntityId>(stream.NextBounded(n));
       }
     });
   }
@@ -206,11 +184,8 @@ EpochOutcome CalibrateEpoch(
       entities.ApplyGradient(b, grad, learning_rate);
     }
     // Negatives: push a away from random entities within the margin.
-    for (int k = 0; k < negatives; ++k) {
-      const kg::EntityId c =
-          candidates.empty()
-              ? static_cast<kg::EntityId>(rng.NextBounded(n))
-              : candidates[pair_index * per_pair + static_cast<size_t>(k)];
+    for (size_t k = 0; k < per_pair; ++k) {
+      const kg::EntityId c = candidates[pair_index * per_pair + k];
       if (c == a || c == b) continue;
       const auto va = entities.Row(a);
       const auto vc = entities.Row(c);

@@ -24,34 +24,20 @@ struct EpochOutcome {
   operator float() const { return loss; }  // NOLINT: implicit by design.
 };
 
-/// How an epoch maps onto the parallel compute core (see DESIGN.md,
-/// "Compute core").
-enum class EpochMode {
-  /// kSerial when Threads() == 1, else kSharded.
-  kAuto,
-  /// The historical single-stream loop: sampling and updates interleave on
-  /// one RNG stream, exactly seed-compatible with pre-parallel releases.
-  kSerial,
-  /// Shard-and-merge: the shuffled order is cut into fixed-size shards,
-  /// each shard draws its corruptions from its own forked RNG stream
-  /// (Rng::Fork(shard)) in parallel, and the updates are applied serially
-  /// in shuffle order. The shard layout is independent of the thread
-  /// count, so results are bit-identical at 1, 2, or N threads (but differ
-  /// from kSerial, whose draws interleave differently).
-  kSharded,
-};
-
 /// One epoch of pair-based training over `triples`: for each positive,
 /// `negatives` corruptions are drawn (from `truncated` when provided and
 /// initialized, else uniformly) and fed to the model. Returns the mean
 /// per-positive loss plus its health verdict. Triples are visited in a
-/// freshly shuffled order.
+/// freshly shuffled order. The shuffled order is cut into fixed-size shards;
+/// each shard draws its corruptions from its own stream (Rng::Fork(shard)),
+/// shard-parallel, and the updates then apply serially in shuffle order.
+/// The shard layout does not depend on the thread count, so the result is
+/// bit-identical at 1, 2, or N threads (DESIGN.md, "Epoch streams").
 EpochOutcome TrainEpoch(embedding::TripleModel& model,
                  const std::vector<kg::Triple>& triples, int negatives,
                  Rng& rng,
                  const embedding::TruncatedNegativeSampler* truncated =
-                     nullptr,
-                 EpochMode mode = EpochMode::kAuto);
+                     nullptr);
 
 /// One epoch of positive-only training (MTransE regime).
 EpochOutcome TrainEpochPositiveOnly(embedding::TripleModel& model,
@@ -61,12 +47,13 @@ EpochOutcome TrainEpochPositiveOnly(embedding::TripleModel& model,
 /// One calibration epoch (paper's "embedding space calibration"): for each
 /// merged-id pair (a, b), minimize ||e_a - e_b||^2 and push each side away
 /// from a sampled negative with margin. Operates directly on the entity
-/// table.
+/// table. The negatives are drawn the way TrainEpoch draws its corruptions:
+/// per shard of pairs from Rng::Fork(shard), so the result does not depend
+/// on the thread count.
 EpochOutcome CalibrateEpoch(
     math::EmbeddingTable& entities,
     const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs,
-    float learning_rate, float margin, int negatives, Rng& rng,
-    EpochMode mode = EpochMode::kAuto);
+    float learning_rate, float margin, int negatives, Rng& rng);
 
 /// Learns a path-composition constraint (IPTransE): for every 2-hop path
 /// (e1 -r1-> e2 -r2-> e3) with a direct relation r3 between e1 and e3,

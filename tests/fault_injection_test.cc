@@ -4,7 +4,8 @@
 // (the fault registry's kKill action `_exit`s the process, so it cannot run
 // in the test binary itself), kill it at an armed checkpoint fault point,
 // resume from the checkpoint directory, and require the result to be byte-
-// identical to an uninterrupted run — at 1 thread and at 8 threads. The
+// identical to an uninterrupted run — at 1 thread, at 8 threads, and across
+// a change of thread count between kill and resume. The
 // NaN-recovery and torn-write scenarios run in-process against
 // core::RunCrossValidation directly.
 
@@ -139,6 +140,36 @@ TEST_F(FaultInjectionTest, KillAndResumeBitIdenticalSingleThread) {
 
 TEST_F(FaultInjectionTest, KillAndResumeBitIdenticalEightThreads) {
   KillAndResumeBitIdentical(8);
+}
+
+/// Results do not depend on the thread count, so neither does a checkpoint:
+/// a run killed at 8 threads after fold 1's checkpoint and resumed at 1
+/// thread restores folds 0-1 and gives the bytes of an uninterrupted run at
+/// 2 threads. BootEA draws pair and calibration negatives, so a thread-
+/// dependent stream would show in the bytes.
+TEST_F(FaultInjectionTest, KillAtEightThreadsResumeAtOneMatchesTwoThreads) {
+  const std::string ckpt_dir = Path("ckpt");
+  const std::string uninterrupted_out = Path("uninterrupted.bin");
+  const std::string resumed_out = Path("resumed.bin");
+  const std::string common =
+      "--approach=BootEA --folds=3 --epochs=10 --seed=7 ";
+
+  ASSERT_EQ(RunDriver(common + "--threads=2 --out=" + uninterrupted_out), 0);
+  ASSERT_EQ(RunDriver(common + "--threads=8 --checkpoint-dir=" + ckpt_dir +
+                      " --fault=checkpoint/after_write:2:kill"),
+            fault::kKillExitCode);
+  // Armed again on the resume: only fold 2 may write a checkpoint, so a
+  // resume that recomputed folds 0-1 would be killed at its second write.
+  ASSERT_EQ(RunDriver(common + "--threads=1 --checkpoint-dir=" + ckpt_dir +
+                      " --resume --fault=checkpoint/after_write:2:kill" +
+                      " --out=" + resumed_out),
+            0)
+      << "the resume at 1 thread recomputed checkpointed folds";
+
+  const std::string uninterrupted = ReadAll(uninterrupted_out);
+  ASSERT_FALSE(uninterrupted.empty());
+  EXPECT_EQ(uninterrupted, ReadAll(resumed_out))
+      << "resumed at 1 thread, diverged from the uninterrupted 2-thread run";
 }
 
 /// Out-of-core variant of the tentpole claim, with a deliberately stronger

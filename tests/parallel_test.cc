@@ -1,12 +1,13 @@
 // Tests for the parallel compute core: ParallelFor edge cases, the ordered
 // reduction, shard RNG forking, and the determinism contract — similarity,
-// ranking, and sharded training must be bit-identical at 1, 2, and 8
-// threads (DESIGN.md, "Compute core").
+// ranking, training and whole cross-validation runs must be bit-identical
+// at 1, 2, and 8 threads (DESIGN.md, "Compute core").
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
+#include "src/core/benchmark.h"
+#include "src/datagen/kg_pair.h"
 #include "src/embedding/triple_model.h"
 #include "src/eval/metrics.h"
 #include "src/interaction/trainer.h"
@@ -278,8 +281,7 @@ TEST(DeterminismTest, ShardedTrainEpochBitIdenticalAcrossThreads) {
         embedding::TripleModelOptions{}, model_rng);
     Rng epoch_rng(42);
     const float loss =
-        interaction::TrainEpoch(*model, triples, 2, epoch_rng, nullptr,
-                                interaction::EpochMode::kSharded);
+        interaction::TrainEpoch(*model, triples, 2, epoch_rng);
     return std::make_pair(loss, FlattenTable(model->entity_table()));
   };
   const auto serial = run(1);
@@ -300,9 +302,8 @@ TEST(DeterminismTest, ShardedCalibrateEpochBitIdenticalAcrossThreads) {
     math::EmbeddingTable entities(600, 16, math::InitScheme::kUnit,
                                   init_rng);
     Rng epoch_rng(42);
-    const float loss = interaction::CalibrateEpoch(
-        entities, pairs, 0.05f, 1.5f, 3, epoch_rng,
-        interaction::EpochMode::kSharded);
+    const float loss = interaction::CalibrateEpoch(entities, pairs, 0.05f,
+                                                   1.5f, 3, epoch_rng);
     return std::make_pair(loss, FlattenTable(entities));
   };
   const auto serial = run(1);
@@ -310,6 +311,47 @@ TEST(DeterminismTest, ShardedCalibrateEpochBitIdenticalAcrossThreads) {
     const auto parallel = run(threads);
     EXPECT_EQ(parallel.first, serial.first) << threads << " threads";
     ASSERT_EQ(parallel.second, serial.second) << threads << " threads";
+  }
+}
+
+bool SameBits(const math::Matrix& a, const math::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.Data().data(), b.Data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+/// The contract end to end: a cross-validation run trains the same model at
+/// one thread as at two or four. MultiKE runs pair epochs, BootEA adds
+/// calibration epochs, MTransE runs positive-only epochs.
+TEST(DeterminismTest, CrossValidationBitIdenticalAtOneTwoAndFourThreads) {
+  ThreadGuard guard;
+  const core::BenchmarkDataset dataset = core::BuildBenchmarkDataset(
+      datagen::HeterogeneityProfile::EnFr(),
+      core::ScalePreset{"tiny", 500, 250, 25.0}, false, 5);
+  for (const char* approach : {"MultiKE", "BootEA", "MTransE"}) {
+    auto run = [&](int threads) {
+      core::TrainConfig config;
+      config.dim = 16;
+      config.max_epochs = 10;
+      config.seed = 7;
+      config.threads = threads;
+      return core::RunCrossValidation(approach, dataset, config, 1);
+    };
+    const core::CrossValidationResult one = run(1);
+    ASSERT_GT(one.first_fold_model.emb1.size(), 0u) << approach;
+    for (int threads : {2, 4}) {
+      const core::CrossValidationResult many = run(threads);
+      EXPECT_EQ(many.hits1.mean, one.hits1.mean)
+          << approach << " at " << threads << " threads";
+      EXPECT_EQ(many.mrr.mean, one.mrr.mean)
+          << approach << " at " << threads << " threads";
+      EXPECT_TRUE(SameBits(many.first_fold_model.emb1,
+                           one.first_fold_model.emb1))
+          << approach << " at " << threads << " threads";
+      EXPECT_TRUE(SameBits(many.first_fold_model.emb2,
+                           one.first_fold_model.emb2))
+          << approach << " at " << threads << " threads";
+    }
   }
 }
 

@@ -286,8 +286,7 @@ TEST(TelemetryDeterminismTest, TrainEpochBitIdenticalWithCollectionOn) {
         embedding::TripleModelOptions{}, model_rng);
     Rng epoch_rng(42);
     const float loss =
-        interaction::TrainEpoch(*model, triples, 2, epoch_rng, nullptr,
-                                interaction::EpochMode::kSharded);
+        interaction::TrainEpoch(*model, triples, 2, epoch_rng);
     telemetry::SetCollectForTesting(false);
     return std::make_pair(loss, FlattenTable(model->entity_table()));
   };
@@ -311,8 +310,7 @@ TEST(TelemetryDeterminismTest, TrainEpochRecordsPerEpochMetrics) {
       embedding::TripleModelOptions{}, model_rng);
   Rng epoch_rng(42);
   for (int epoch = 0; epoch < 3; ++epoch) {
-    interaction::TrainEpoch(*model, triples, 2, epoch_rng, nullptr,
-                            interaction::EpochMode::kSharded);
+    interaction::TrainEpoch(*model, triples, 2, epoch_rng);
   }
   const auto snap = telemetry::SnapshotMetrics();
   EXPECT_EQ(snap.counters.at("train/pair_epochs"), 3u);

@@ -241,8 +241,7 @@ TEST(TraceDeterminismTest, TrainEpochBitIdenticalWithTracingOn) {
         embedding::TripleModelOptions{}, model_rng);
     Rng epoch_rng(42);
     const float loss =
-        interaction::TrainEpoch(*model, triples, 2, epoch_rng, nullptr,
-                                interaction::EpochMode::kSharded);
+        interaction::TrainEpoch(*model, triples, 2, epoch_rng);
     if (traced) {
       trace::Stop();
       EXPECT_FALSE(trace::DrainEvents().empty());
