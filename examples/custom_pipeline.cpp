@@ -43,24 +43,23 @@ int main() {
 
   // --- Interaction: swapped triples + seed calibration each epoch ------------
   std::printf("Training custom TransE+swapping+calibration pipeline ...\n");
-  approaches::EarlyStopper stopper(3);
-  core::AlignmentModel best;
-  for (int epoch = 1; epoch <= 200; ++epoch) {
-    interaction::TrainEpoch(*model, unified.triples, /*negatives=*/5, rng);
-    interaction::CalibrateEpoch(model->entity_table(), unified.merged_seeds,
-                                options.learning_rate, options.margin, 2,
+  core::TrainConfig schedule;
+  schedule.max_epochs = 200;
+  schedule.eval_every = 10;
+  const core::AlignmentModel best = approaches::TrainWithEarlyStopping(
+      schedule, task.valid, /*patience=*/3,
+      [&](int) {
+        interaction::TrainEpoch(*model, unified.triples, /*negatives=*/5,
                                 rng);
-    if (epoch % 10 != 0) continue;
-    core::AlignmentModel current =
-        approaches::GatherUnifiedModel(unified, model->entity_table());
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
+        interaction::CalibrateEpoch(model->entity_table(),
+                                    unified.merged_seeds,
+                                    options.learning_rate, options.margin, 2,
+                                    rng);
+      },
+      [&] {
+        return approaches::GatherUnifiedModel(unified,
+                                              model->entity_table());
+      });
 
   // --- Alignment module: sweep the inference strategies -----------------------
   std::printf("\n%-24s Hits@1\n", "Inference strategy");

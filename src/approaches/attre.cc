@@ -3,7 +3,6 @@
 #include "src/approaches/common.h"
 #include "src/embedding/attribute.h"
 #include "src/embedding/translational.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"
 #include "src/math/vec.h"
@@ -51,50 +50,39 @@ core::AlignmentModel AttrE::Train(const core::AlignmentTask& task) {
   }
   constexpr float kCharWeight = 0.8f;
 
-  EarlyStopper stopper;
-  core::AlignmentModel best;
   std::vector<float> grad(config_.dim);
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    if (config_.use_relations) {
-      interaction::TrainEpoch(model, unified.triples,
-                              config_.negatives_per_positive, rng);
-    }
-    // Structure-literal consistency: pull e_struct toward its (fixed)
-    // char-level representation (AttrE's alpha-weighted cosine objective,
-    // realized as an L2 pull).
-    if (config_.use_attributes) {
-      math::EmbeddingTable& entities = model.entity_table();
-      for (size_t e = 0; e < unified.num_entities; ++e) {
-        const auto target = char_merged.Row(e);
-        if (math::SquaredL2Norm(target) < 1e-8f) continue;
-        const auto row = entities.Row(e);
-        for (size_t i = 0; i < grad.size(); ++i) {
-          grad[i] = 2.0f * (row[i] - target[i]) * 0.5f;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/2,
+      [&](int) {
+        if (config_.use_relations) {
+          interaction::TrainEpoch(model, unified.triples,
+                                  config_.negatives_per_positive, rng);
         }
-        entities.ApplyGradient(e, grad, config_.learning_rate);
-      }
-    }
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    core::AlignmentModel current =
-        GatherUnifiedModel(unified, model.entity_table());
-    if (config_.use_attributes) {
-      current.emb1 = ConcatViews(current.emb1, char1, kCharWeight);
-      current.emb2 = ConcatViews(current.emb2, char2, kCharWeight);
-    }
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+        // Structure-literal consistency: pull e_struct toward its (fixed)
+        // char-level representation (AttrE's alpha-weighted cosine
+        // objective, realized as an L2 pull).
+        if (config_.use_attributes) {
+          math::EmbeddingTable& entities = model.entity_table();
+          for (size_t e = 0; e < unified.num_entities; ++e) {
+            const auto target = char_merged.Row(e);
+            if (math::SquaredL2Norm(target) < 1e-8f) continue;
+            const auto row = entities.Row(e);
+            for (size_t i = 0; i < grad.size(); ++i) {
+              grad[i] = 2.0f * (row[i] - target[i]) * 0.5f;
+            }
+            entities.ApplyGradient(e, grad, config_.learning_rate);
+          }
+        }
+      },
+      [&] {
+        core::AlignmentModel current =
+            GatherUnifiedModel(unified, model.entity_table());
+        if (config_.use_attributes) {
+          current.emb1 = ConcatViews(current.emb1, char1, kCharWeight);
+          current.emb2 = ConcatViews(current.emb2, char2, kCharWeight);
+        }
+        return current;
+      });
 }
 
 }  // namespace openea::approaches

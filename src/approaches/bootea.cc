@@ -5,7 +5,6 @@
 #include "src/approaches/common.h"
 #include "src/embedding/negative_sampling.h"
 #include "src/embedding/translational.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/bootstrapping.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"
@@ -44,69 +43,58 @@ core::AlignmentModel BootEa::Train(const core::AlignmentTask& task) {
     used2.insert(p.right);
   }
 
-  core::AlignmentModel best;
   std::vector<core::IterationStat> trace;
+  int boot_iteration = 0;
   // Semi-supervised augmentation needs time to grow recall before
   // validation accuracy peaks; use a longer early-stop patience.
-  EarlyStopper stopper(8);
-  int boot_iteration = 0;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    if (epoch % 10 == 1) {
-      // Refresh the hard-negative neighbour lists (the costly part the
-      // paper measures at >23% of BootEA's running time).
-      truncated.Refresh(model.entity_table());
-    }
-    interaction::TrainEpoch(model, triples, config_.negatives_per_positive,
-                            rng, &truncated);
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
+  core::AlignmentModel best = TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/8,
+      [&](int epoch) {
+        if (epoch % 10 == 1) {
+          // Refresh the hard-negative neighbour lists (the costly part the
+          // paper measures at >23% of BootEA's running time).
+          truncated.Refresh(model.entity_table());
+        }
+        interaction::TrainEpoch(model, triples,
+                                config_.negatives_per_positive, rng,
+                                &truncated);
+      },
+      [&] {
+        core::AlignmentModel current =
+            GatherUnifiedModel(unified, model.entity_table());
+        if (!enable_bootstrapping_) return current;
+        interaction::BootstrapOptions boot;
+        boot.threshold = 0.75f;
+        boot.mutual = true;
+        // Candidates exclude only the true seeds; previously bootstrapped
+        // pairs stay editable.
+        std::unordered_set<kg::EntityId> cand_used1 = used1,
+                                         cand_used2 = used2;
+        const kg::Alignment proposals = interaction::ProposeAlignment(
+            current.emb1, current.emb2, cand_used1, cand_used2, boot);
+        interaction::EditAugmentedAlignment(augmented, proposals,
+                                            current.emb1, current.emb2);
+        trace.push_back(
+            interaction::EvaluateAugmented(augmented, task, ++boot_iteration));
 
-    core::AlignmentModel current =
-        GatherUnifiedModel(unified, model.entity_table());
-
-    if (enable_bootstrapping_) {
-      interaction::BootstrapOptions boot;
-      boot.threshold = 0.75f;
-      boot.mutual = true;
-      // Candidates exclude only the true seeds; previously bootstrapped
-      // pairs stay editable.
-      std::unordered_set<kg::EntityId> cand_used1 = used1, cand_used2 = used2;
-      const kg::Alignment proposals = interaction::ProposeAlignment(
-          current.emb1, current.emb2, cand_used1, cand_used2, boot);
-      interaction::EditAugmentedAlignment(augmented, proposals, current.emb1,
-                                          current.emb2);
-      trace.push_back(
-          interaction::EvaluateAugmented(augmented, task, ++boot_iteration));
-
-      // Swapped triples for the augmented pairs supervise the embedding.
-      std::vector<std::pair<kg::EntityId, kg::EntityId>> merged_pairs;
-      merged_pairs.reserve(augmented.size());
-      for (const kg::AlignmentPair& p : augmented) {
-        merged_pairs.emplace_back(unified.map1[p.left],
-                                  unified.map2[p.right]);
-      }
-      triples = unified.triples;
-      const auto swapped =
-          interaction::SwappedTriples(unified.triples, merged_pairs);
-      triples.insert(triples.end(), swapped.begin(), swapped.end());
-      // Calibrate augmented pairs directly as well (alignment editing
-      // keeps them trustworthy).
-      interaction::CalibrateEpoch(model.entity_table(), merged_pairs,
-                                  config_.learning_rate, config_.margin, 1,
-                                  rng);
-    }
-
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
+        // Swapped triples for the augmented pairs supervise the embedding.
+        std::vector<std::pair<kg::EntityId, kg::EntityId>> merged_pairs;
+        merged_pairs.reserve(augmented.size());
+        for (const kg::AlignmentPair& p : augmented) {
+          merged_pairs.emplace_back(unified.map1[p.left],
+                                    unified.map2[p.right]);
+        }
+        triples = unified.triples;
+        const auto swapped =
+            interaction::SwappedTriples(unified.triples, merged_pairs);
+        triples.insert(triples.end(), swapped.begin(), swapped.end());
+        // Calibrate augmented pairs directly as well (alignment editing
+        // keeps them trustworthy).
+        interaction::CalibrateEpoch(model.entity_table(), merged_pairs,
+                                    config_.learning_rate, config_.margin, 1,
+                                    rng);
+        return current;
+      });
   best.semi_supervised_trace = std::move(trace);
   return best;
 }

@@ -5,6 +5,8 @@
 #include <unordered_map>
 
 #include "src/common/logging.h"
+#include "src/common/telemetry.h"
+#include "src/eval/metrics.h"
 #include "src/math/vec.h"
 
 namespace openea::approaches {
@@ -57,6 +59,44 @@ math::Matrix ConcatViews(const math::Matrix& a, const math::Matrix& b,
     std::copy(tmp.begin(), tmp.end(), dst.begin() + a.cols());
   }
   return out;
+}
+
+core::AlignmentModel TrainWithEarlyStopping(
+    const core::TrainConfig& config, const kg::Alignment& valid, int patience,
+    const std::function<void(int epoch)>& train_epoch,
+    const std::function<core::AlignmentModel()>& snapshot) {
+  core::AlignmentModel best;
+  double best_hits1 = -1.0;
+  int bad_checks = 0;
+  for (int epoch = 1; epoch <= config.max_epochs; ++epoch) {
+    train_epoch(epoch);
+    // Always evaluate on the last epoch so that short runs (max_epochs <
+    // eval_every) still snapshot a model instead of returning empty
+    // embeddings.
+    if (epoch % config.eval_every != 0 && epoch != config.max_epochs) {
+      continue;
+    }
+    core::AlignmentModel current = snapshot();
+    const double hits1 =
+        eval::Hits1(current, valid, align::DistanceMetric::kCosine);
+    const bool improved = hits1 > best_hits1 + 1e-6;
+    if (improved) {
+      best_hits1 = hits1;
+      bad_checks = 0;
+    } else {
+      ++bad_checks;
+    }
+    if (improved || best.emb1.rows() == 0) best = std::move(current);
+    const bool stop = bad_checks >= patience;
+    if (telemetry::Enabled()) {
+      telemetry::IncrCounter("train/early_stop_checks");
+      telemetry::AppendSeries("train/valid_hits1", hits1);
+      telemetry::SetGauge("train/best_valid_hits1", best_hits1);
+      if (stop) telemetry::IncrCounter("train/early_stops");
+    }
+    if (stop) break;
+  }
+  return best;
 }
 
 std::vector<embedding::GcnEdge> BuildGcnEdges(

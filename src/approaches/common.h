@@ -1,9 +1,10 @@
 #ifndef OPENEA_APPROACHES_COMMON_H_
 #define OPENEA_APPROACHES_COMMON_H_
 
+#include <functional>
 #include <vector>
 
-#include "src/common/telemetry.h"
+#include "src/core/approach.h"
 #include "src/core/task.h"
 #include "src/embedding/gcn.h"
 #include "src/interaction/unified_kg.h"
@@ -29,43 +30,17 @@ core::AlignmentModel GatherUnifiedModel(const interaction::UnifiedKg& unified,
 math::Matrix ConcatViews(const math::Matrix& a, const math::Matrix& b,
                          float weight);
 
-/// Early-stopping tracker implementing the paper's Table 4 policy: check
-/// validation Hits@1 periodically and stop when it begins to drop.
-class EarlyStopper {
- public:
-  explicit EarlyStopper(int patience = 2) : patience_(patience) {}
-
-  /// Feeds a new validation score. Returns true when training should stop.
-  bool ShouldStop(double hits1) {
-    if (hits1 > best_ + 1e-6) {
-      best_ = hits1;
-      bad_checks_ = 0;
-      improved_ = true;
-    } else {
-      ++bad_checks_;
-      improved_ = false;
-    }
-    const bool stop = bad_checks_ >= patience_;
-    if (telemetry::Enabled()) {
-      telemetry::IncrCounter("train/early_stop_checks");
-      telemetry::AppendSeries("train/valid_hits1", hits1);
-      telemetry::SetGauge("train/best_valid_hits1", best_);
-      if (stop) telemetry::IncrCounter("train/early_stops");
-    }
-    return stop;
-  }
-
-  /// True when the last ShouldStop call improved the best score (snapshot
-  /// the model then).
-  bool improved() const { return improved_; }
-  double best() const { return best_; }
-
- private:
-  int patience_;
-  int bad_checks_ = 0;
-  double best_ = -1.0;
-  bool improved_ = false;
-};
+/// The paper's early-stopping protocol (Table 4), the one training loop of
+/// every approach with a validation split. Runs `train_epoch(epoch)` for
+/// epoch = 1 .. config.max_epochs. On every `config.eval_every`-th epoch and
+/// on the last one it takes `snapshot()` and scores its cosine Hits@1 on
+/// `valid`. It keeps the first snapshot and every one that improves the best
+/// score, stops after `patience` checks in a row without improvement, and
+/// returns the kept snapshot.
+core::AlignmentModel TrainWithEarlyStopping(
+    const core::TrainConfig& config, const kg::Alignment& valid, int patience,
+    const std::function<void(int epoch)>& train_epoch,
+    const std::function<core::AlignmentModel()>& snapshot);
 
 /// Undirected, deduplicated GCN edges from both KGs in merged ids. When
 /// `relation_aware` is set, edge weights follow RDGCN's intuition: edges of

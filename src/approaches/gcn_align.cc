@@ -3,7 +3,6 @@
 #include "src/approaches/common.h"
 #include "src/embedding/attribute.h"
 #include "src/embedding/gcn.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/unified_kg.h"
 #include "src/math/vec.h"
 #include "src/text/word_embeddings.h"
@@ -74,35 +73,25 @@ core::AlignmentModel GcnAlign::Train(const core::AlignmentTask& task) {
 
   // Full-batch GCN training ramps slowly and benefits from many negatives
   // per seed pair; a longer early-stop patience lets it mature.
-  EarlyStopper stopper(10);
-  core::AlignmentModel best;
   math::Matrix grad;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    const math::Matrix& output = gcn.Forward();
-    AlignmentLossGrad(output, unified.merged_seeds, config_.margin,
-                      3 * config_.negatives_per_positive, rng, grad);
-    gcn.Backward(grad);
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    gcn.Forward();
-    core::AlignmentModel current = GatherUnifiedModel(unified, gcn.output());
-    if (config_.use_attributes) {
-      current.emb1 = ConcatViews(current.emb1, attr1, kAttributeWeight);
-      current.emb2 = ConcatViews(current.emb2, attr2, kAttributeWeight);
-    }
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/10,
+      [&](int) {
+        const math::Matrix& output = gcn.Forward();
+        AlignmentLossGrad(output, unified.merged_seeds, config_.margin,
+                          3 * config_.negatives_per_positive, rng, grad);
+        gcn.Backward(grad);
+      },
+      [&] {
+        gcn.Forward();
+        core::AlignmentModel current =
+            GatherUnifiedModel(unified, gcn.output());
+        if (config_.use_attributes) {
+          current.emb1 = ConcatViews(current.emb1, attr1, kAttributeWeight);
+          current.emb2 = ConcatViews(current.emb2, attr2, kAttributeWeight);
+        }
+        return current;
+      });
 }
 
 }  // namespace openea::approaches

@@ -4,7 +4,6 @@
 
 #include "src/approaches/common.h"
 #include "src/embedding/translational.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/bootstrapping.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"
@@ -40,60 +39,48 @@ core::AlignmentModel IpTransE::Train(const core::AlignmentTask& task) {
     used2.insert(p.right);
   }
 
-  core::AlignmentModel best;
   std::vector<core::IterationStat> trace;
+  int boot_iteration = 0;
   // Semi-supervised augmentation needs time to grow recall before
   // validation accuracy peaks; use a longer early-stop patience.
-  EarlyStopper stopper(6);
-  int boot_iteration = 0;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    interaction::TrainEpoch(model, unified.triples,
-                            config_.negatives_per_positive, rng);
-    // Path composition: link relation chains to direct relations.
-    interaction::PathCompositionEpoch(model.relation_table(),
-                                      unified.triples, unified.num_entities,
-                                      config_.learning_rate,
-                                      unified.triples.size() / 4, rng);
-    // Soft calibration of self-training proposals (the original's soft
-    // alignment: proposals influence training without sharing parameters).
-    if (!soft_pairs.empty()) {
-      interaction::CalibrateEpoch(model.entity_table(), soft_pairs,
-                                  config_.learning_rate, config_.margin, 1,
-                                  rng);
-    }
-
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    core::AlignmentModel current =
-        GatherUnifiedModel(unified, model.entity_table());
-
-    // Self-training: accept every confident proposal, permanently.
-    interaction::BootstrapOptions boot;
-    boot.threshold = 0.6f;
-    boot.mutual = false;  // Naive: no mutuality check, no editing.
-    const kg::Alignment proposals = interaction::ProposeAlignment(
-        current.emb1, current.emb2, used1, used2, boot);
-    for (const kg::AlignmentPair& p : proposals) {
-      augmented.push_back(p);
-      used1.insert(p.left);
-      used2.insert(p.right);
-      soft_pairs.emplace_back(unified.map1[p.left], unified.map2[p.right]);
-    }
-    trace.push_back(
-        interaction::EvaluateAugmented(augmented, task, ++boot_iteration));
-
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
+  core::AlignmentModel best = TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/6,
+      [&](int) {
+        interaction::TrainEpoch(model, unified.triples,
+                                config_.negatives_per_positive, rng);
+        // Path composition: link relation chains to direct relations.
+        interaction::PathCompositionEpoch(
+            model.relation_table(), unified.triples, unified.num_entities,
+            config_.learning_rate, unified.triples.size() / 4, rng);
+        // Soft calibration of self-training proposals (the original's soft
+        // alignment: proposals influence training without sharing
+        // parameters).
+        if (!soft_pairs.empty()) {
+          interaction::CalibrateEpoch(model.entity_table(), soft_pairs,
+                                      config_.learning_rate, config_.margin,
+                                      1, rng);
+        }
+      },
+      [&] {
+        core::AlignmentModel current =
+            GatherUnifiedModel(unified, model.entity_table());
+        // Self-training: accept every confident proposal, permanently.
+        interaction::BootstrapOptions boot;
+        boot.threshold = 0.6f;
+        boot.mutual = false;  // Naive: no mutuality check, no editing.
+        const kg::Alignment proposals = interaction::ProposeAlignment(
+            current.emb1, current.emb2, used1, used2, boot);
+        for (const kg::AlignmentPair& p : proposals) {
+          augmented.push_back(p);
+          used1.insert(p.left);
+          used2.insert(p.right);
+          soft_pairs.emplace_back(unified.map1[p.left],
+                                  unified.map2[p.right]);
+        }
+        trace.push_back(
+            interaction::EvaluateAugmented(augmented, task, ++boot_iteration));
+        return current;
+      });
   best.semi_supervised_trace = std::move(trace);
   return best;
 }

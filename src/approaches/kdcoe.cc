@@ -5,7 +5,6 @@
 #include "src/approaches/common.h"
 #include "src/embedding/attribute.h"
 #include "src/embedding/translational.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/bootstrapping.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"
@@ -57,76 +56,66 @@ core::AlignmentModel KdCoE::Train(const core::AlignmentTask& task) {
     used2.insert(p.right);
   }
 
-  core::AlignmentModel best;
   std::vector<core::IterationStat> trace;
+  int boot_iteration = 0;
   // Semi-supervised augmentation needs time to grow recall before
   // validation accuracy peaks; use a longer early-stop patience.
-  EarlyStopper stopper(6);
-  int boot_iteration = 0;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    if (config_.use_relations) {
-      interaction::TrainEpoch(model, unified.triples,
-                              config_.negatives_per_positive, rng);
-    }
-    interaction::CalibrateEpoch(model.entity_table(), merged_seeds,
-                                config_.learning_rate, config_.margin, 1,
-                                rng);
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    core::AlignmentModel relation_view =
-        GatherUnifiedModel(unified, model.entity_table());
-
-    // --- Co-training proposals --------------------------------------------
-    interaction::BootstrapOptions boot;
-    boot.threshold = 0.8f;
-    boot.mutual = true;
-    kg::Alignment proposals = interaction::ProposeAlignment(
-        relation_view.emb1, relation_view.emb2, used1, used2, boot);
-    if (config_.use_attributes) {
-      // Description-view proposals: restricted to described entities.
-      std::unordered_set<kg::EntityId> no_desc1 = used1, no_desc2 = used2;
-      for (size_t e = 0; e < desc1.rows(); ++e) {
-        if (!has_desc(desc1, static_cast<kg::EntityId>(e))) {
-          no_desc1.insert(static_cast<kg::EntityId>(e));
+  core::AlignmentModel best = TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/6,
+      [&](int) {
+        if (config_.use_relations) {
+          interaction::TrainEpoch(model, unified.triples,
+                                  config_.negatives_per_positive, rng);
         }
-      }
-      for (size_t e = 0; e < desc2.rows(); ++e) {
-        if (!has_desc(desc2, static_cast<kg::EntityId>(e))) {
-          no_desc2.insert(static_cast<kg::EntityId>(e));
-        }
-      }
-      const kg::Alignment desc_proposals = interaction::ProposeAlignment(
-          desc1, desc2, no_desc1, no_desc2, boot);
-      proposals.insert(proposals.end(), desc_proposals.begin(),
-                       desc_proposals.end());
-    }
-    for (const kg::AlignmentPair& p : proposals) {
-      if (used1.count(p.left) > 0 || used2.count(p.right) > 0) continue;
-      used1.insert(p.left);
-      used2.insert(p.right);
-      augmented.push_back(p);
-      merged_seeds.emplace_back(unified.map1[p.left], unified.map2[p.right]);
-    }
-    trace.push_back(
-        interaction::EvaluateAugmented(augmented, task, ++boot_iteration));
+        interaction::CalibrateEpoch(model.entity_table(), merged_seeds,
+                                    config_.learning_rate, config_.margin, 1,
+                                    rng);
+      },
+      [&] {
+        core::AlignmentModel current =
+            GatherUnifiedModel(unified, model.entity_table());
 
-    core::AlignmentModel current = std::move(relation_view);
-    if (config_.use_attributes) {
-      current.emb1 = ConcatViews(current.emb1, desc1, kDescWeight);
-      current.emb2 = ConcatViews(current.emb2, desc2, kDescWeight);
-    }
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
+        // --- Co-training proposals ----------------------------------------
+        interaction::BootstrapOptions boot;
+        boot.threshold = 0.8f;
+        boot.mutual = true;
+        kg::Alignment proposals = interaction::ProposeAlignment(
+            current.emb1, current.emb2, used1, used2, boot);
+        if (config_.use_attributes) {
+          // Description-view proposals: restricted to described entities.
+          std::unordered_set<kg::EntityId> no_desc1 = used1, no_desc2 = used2;
+          for (size_t e = 0; e < desc1.rows(); ++e) {
+            if (!has_desc(desc1, static_cast<kg::EntityId>(e))) {
+              no_desc1.insert(static_cast<kg::EntityId>(e));
+            }
+          }
+          for (size_t e = 0; e < desc2.rows(); ++e) {
+            if (!has_desc(desc2, static_cast<kg::EntityId>(e))) {
+              no_desc2.insert(static_cast<kg::EntityId>(e));
+            }
+          }
+          const kg::Alignment desc_proposals = interaction::ProposeAlignment(
+              desc1, desc2, no_desc1, no_desc2, boot);
+          proposals.insert(proposals.end(), desc_proposals.begin(),
+                           desc_proposals.end());
+        }
+        for (const kg::AlignmentPair& p : proposals) {
+          if (used1.count(p.left) > 0 || used2.count(p.right) > 0) continue;
+          used1.insert(p.left);
+          used2.insert(p.right);
+          augmented.push_back(p);
+          merged_seeds.emplace_back(unified.map1[p.left],
+                                    unified.map2[p.right]);
+        }
+        trace.push_back(
+            interaction::EvaluateAugmented(augmented, task, ++boot_iteration));
+
+        if (config_.use_attributes) {
+          current.emb1 = ConcatViews(current.emb1, desc1, kDescWeight);
+          current.emb2 = ConcatViews(current.emb2, desc2, kDescWeight);
+        }
+        return current;
+      });
   best.semi_supervised_trace = std::move(trace);
   return best;
 }

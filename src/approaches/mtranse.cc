@@ -73,37 +73,28 @@ core::AlignmentModel MTransE::Train(const core::AlignmentTask& task) {
       options_.model_kind == TripleModelKind::kTransE &&
       !options_.use_negative_sampling;
 
-  EarlyStopper stopper;
-  core::AlignmentModel best;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    if (positives_only) {
-      interaction::TrainEpochPositiveOnly(*model1, task.kg1->triples(), rng);
-      interaction::TrainEpochPositiveOnly(*model2, task.kg2->triples(), rng);
-    } else {
-      interaction::TrainEpoch(*model1, task.kg1->triples(),
-                              config_.negatives_per_positive, rng);
-      interaction::TrainEpoch(*model2, task.kg2->triples(),
-                              config_.negatives_per_positive, rng);
-    }
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    core::AlignmentModel current;
-    current.emb2 = TableToMatrix(model2->entity_table());
-    current.emb1 = MapThroughSeeds(TableToMatrix(model1->entity_table()),
-                                   current.emb2, task.train);
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/2,
+      [&](int) {
+        if (positives_only) {
+          interaction::TrainEpochPositiveOnly(*model1, task.kg1->triples(),
+                                              rng);
+          interaction::TrainEpochPositiveOnly(*model2, task.kg2->triples(),
+                                              rng);
+        } else {
+          interaction::TrainEpoch(*model1, task.kg1->triples(),
+                                  config_.negatives_per_positive, rng);
+          interaction::TrainEpoch(*model2, task.kg2->triples(),
+                                  config_.negatives_per_positive, rng);
+        }
+      },
+      [&] {
+        core::AlignmentModel current;
+        current.emb2 = TableToMatrix(model2->entity_table());
+        current.emb1 = MapThroughSeeds(TableToMatrix(model1->entity_table()),
+                                       current.emb2, task.train);
+        return current;
+      });
 }
 
 core::ApproachRequirements Sea::requirements() const {
@@ -130,37 +121,26 @@ core::AlignmentModel Sea::Train(const core::AlignmentTask& task) {
   kg::Alignment reversed;
   for (const auto& p : task.train) reversed.push_back({p.right, p.left});
 
-  EarlyStopper stopper;
-  core::AlignmentModel best;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    interaction::TrainEpoch(*model1, task.kg1->triples(),
-                            config_.negatives_per_positive, rng);
-    interaction::TrainEpoch(*model2, task.kg2->triples(),
-                            config_.negatives_per_positive, rng);
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    const math::Matrix emb1 = TableToMatrix(model1->entity_table());
-    const math::Matrix emb2 = TableToMatrix(model2->entity_table());
-    // Forward map of KG1 into KG2's space and backward map of KG2 into
-    // KG1's space; both directions contribute to the representation.
-    core::AlignmentModel current;
-    current.emb1 =
-        ConcatViews(MapThroughSeeds(emb1, emb2, task.train), emb1, 1.0f);
-    current.emb2 =
-        ConcatViews(emb2, MapThroughSeeds(emb2, emb1, reversed), 1.0f);
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/2,
+      [&](int) {
+        interaction::TrainEpoch(*model1, task.kg1->triples(),
+                                config_.negatives_per_positive, rng);
+        interaction::TrainEpoch(*model2, task.kg2->triples(),
+                                config_.negatives_per_positive, rng);
+      },
+      [&] {
+        const math::Matrix emb1 = TableToMatrix(model1->entity_table());
+        const math::Matrix emb2 = TableToMatrix(model2->entity_table());
+        // Forward map of KG1 into KG2's space and backward map of KG2 into
+        // KG1's space; both directions contribute to the representation.
+        core::AlignmentModel current;
+        current.emb1 =
+            ConcatViews(MapThroughSeeds(emb1, emb2, task.train), emb1, 1.0f);
+        current.emb2 =
+            ConcatViews(emb2, MapThroughSeeds(emb2, emb1, reversed), 1.0f);
+        return current;
+      });
 }
 
 }  // namespace openea::approaches

@@ -3,7 +3,6 @@
 #include "src/approaches/common.h"
 #include "src/embedding/attribute.h"
 #include "src/embedding/translational.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"
 
@@ -60,36 +59,25 @@ core::AlignmentModel MultiKe::Train(const core::AlignmentTask& task) {
   constexpr float kNameWeight = 1.2f;   // The literal view dominates.
   constexpr float kAttrWeight = 0.3f;
 
-  EarlyStopper stopper;
-  core::AlignmentModel best;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    if (config_.use_relations) {
-      interaction::TrainEpoch(model, unified.triples,
-                              config_.negatives_per_positive, rng);
-    }
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    core::AlignmentModel current =
-        GatherUnifiedModel(unified, model.entity_table());
-    if (config_.use_attributes) {
-      current.emb1 = ConcatViews(current.emb1, name1, kNameWeight);
-      current.emb2 = ConcatViews(current.emb2, name2, kNameWeight);
-      current.emb1 = ConcatViews(current.emb1, attr1, kAttrWeight);
-      current.emb2 = ConcatViews(current.emb2, attr2, kAttrWeight);
-    }
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/2,
+      [&](int) {
+        if (config_.use_relations) {
+          interaction::TrainEpoch(model, unified.triples,
+                                  config_.negatives_per_positive, rng);
+        }
+      },
+      [&] {
+        core::AlignmentModel current =
+            GatherUnifiedModel(unified, model.entity_table());
+        if (config_.use_attributes) {
+          current.emb1 = ConcatViews(current.emb1, name1, kNameWeight);
+          current.emb2 = ConcatViews(current.emb2, name2, kNameWeight);
+          current.emb1 = ConcatViews(current.emb1, attr1, kAttrWeight);
+          current.emb2 = ConcatViews(current.emb2, attr2, kAttrWeight);
+        }
+        return current;
+      });
 }
 
 }  // namespace openea::approaches

@@ -3,7 +3,6 @@
 #include "src/approaches/common.h"
 #include "src/embedding/attribute.h"
 #include "src/embedding/gcn.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/unified_kg.h"
 
 namespace openea::approaches {
@@ -44,31 +43,19 @@ core::AlignmentModel Rdgcn::Train(const core::AlignmentTask& task) {
                                         /*include_descriptions=*/true)));
   }
 
-  EarlyStopper stopper;
-  core::AlignmentModel best;
   math::Matrix grad;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    const math::Matrix& output = gcn.Forward();
-    AlignmentLossGrad(output, unified.merged_seeds, config_.margin,
-                      config_.negatives_per_positive, rng, grad);
-    gcn.Backward(grad);
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    gcn.Forward();
-    core::AlignmentModel current = GatherUnifiedModel(unified, gcn.output());
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/2,
+      [&](int) {
+        const math::Matrix& output = gcn.Forward();
+        AlignmentLossGrad(output, unified.merged_seeds, config_.margin,
+                          config_.negatives_per_positive, rng, grad);
+        gcn.Backward(grad);
+      },
+      [&] {
+        gcn.Forward();
+        return GatherUnifiedModel(unified, gcn.output());
+      });
 }
 
 }  // namespace openea::approaches

@@ -2,7 +2,6 @@
 
 #include "src/approaches/common.h"
 #include "src/embedding/path_rnn.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"
 
@@ -39,34 +38,17 @@ core::AlignmentModel Rsn4Ea::Train(const core::AlignmentTask& task) {
   const size_t chains_per_epoch = unified.triples.size();
 
   // Path-based training converges slowly; allow a longer patience.
-  EarlyStopper stopper(6);
-  core::AlignmentModel best;
-  for (int epoch = 1; epoch <= config_.max_epochs; ++epoch) {
-    for (size_t c = 0; c < chains_per_epoch; ++c) {
-      const auto chain = embedding::RsnModel::SampleChain(
-          unified.triples, out_index, rng, options.path_hops);
-      model.TrainOnChain(chain, rng);
-    }
-    model.PostEpoch();
-    // Keep the seed entities calibrated (sharing already merges them; this
-    // covers nothing extra but mirrors the library structure).
-    // Always evaluate on the last epoch so that short runs (max_epochs <
-    // eval_every) still snapshot a model instead of returning empty
-    // embeddings.
-    const bool last_epoch = epoch == config_.max_epochs;
-    if (epoch % config_.eval_every != 0 && !last_epoch) continue;
-
-    core::AlignmentModel current =
-        GatherUnifiedModel(unified, model.entity_table());
-    const double hits1 =
-        eval::Hits1(current, task.valid, align::DistanceMetric::kCosine);
-    const bool stop = stopper.ShouldStop(hits1);
-    if (stopper.improved() || best.emb1.rows() == 0) {
-      best = std::move(current);
-    }
-    if (stop) break;
-  }
-  return best;
+  return TrainWithEarlyStopping(
+      config_, task.valid, /*patience=*/6,
+      [&](int) {
+        for (size_t c = 0; c < chains_per_epoch; ++c) {
+          const auto chain = embedding::RsnModel::SampleChain(
+              unified.triples, out_index, rng, options.path_hops);
+          model.TrainOnChain(chain, rng);
+        }
+        model.PostEpoch();
+      },
+      [&] { return GatherUnifiedModel(unified, model.entity_table()); });
 }
 
 }  // namespace openea::approaches

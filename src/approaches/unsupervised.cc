@@ -6,7 +6,6 @@
 #include "src/approaches/imuse.h"
 #include "src/embedding/attribute.h"
 #include "src/embedding/translational.h"
-#include "src/eval/metrics.h"
 #include "src/interaction/bootstrapping.h"
 #include "src/interaction/trainer.h"
 #include "src/interaction/unified_kg.h"

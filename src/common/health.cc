@@ -18,22 +18,27 @@ Verdict Worst(Verdict a, Verdict b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
 
-Verdict HealthMonitor::Observe(double loss) {
+Verdict HealthMonitor::Observe(double loss, std::string_view kind) {
   Verdict verdict = Verdict::kHealthy;
   if (!std::isfinite(loss)) {
     verdict = Verdict::kNonFinite;
   } else {
     ++observations_;
-    if (observations_ > config_.min_observations && !recent_.empty()) {
+    auto it = windows_.find(kind);
+    if (it == windows_.end()) it = windows_.emplace(kind, Window()).first;
+    Window& window = it->second;
+    ++window.observations;
+    if (window.observations > config_.min_observations &&
+        !window.recent.empty()) {
       const double window_min =
-          *std::min_element(recent_.begin(), recent_.end());
+          *std::min_element(window.recent.begin(), window.recent.end());
       const double threshold =
           config_.divergence_factor *
           std::max(window_min, config_.divergence_floor);
       if (loss > threshold) verdict = Verdict::kDiverged;
     }
-    recent_.push_back(loss);
-    if (recent_.size() > config_.window) recent_.pop_front();
+    window.recent.push_back(loss);
+    if (window.recent.size() > config_.window) window.recent.pop_front();
   }
   worst_ = Worst(worst_, verdict);
   return verdict;
@@ -47,7 +52,7 @@ Verdict HealthMonitor::ObserveTensor(std::span<const float> values) {
 }
 
 void HealthMonitor::Reset() {
-  recent_.clear();
+  windows_.clear();
   observations_ = 0;
   worst_ = Verdict::kHealthy;
 }
@@ -69,8 +74,10 @@ ScopedHealthMonitor::~ScopedHealthMonitor() { g_active_monitor = previous_; }
 
 HealthMonitor* ActiveMonitor() { return g_active_monitor; }
 
-Verdict ReportLoss(double loss) {
-  if (g_active_monitor != nullptr) return g_active_monitor->Observe(loss);
+Verdict ReportLoss(double loss, std::string_view kind) {
+  if (g_active_monitor != nullptr) {
+    return g_active_monitor->Observe(loss, kind);
+  }
   return std::isfinite(loss) ? Verdict::kHealthy : Verdict::kNonFinite;
 }
 

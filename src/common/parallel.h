@@ -13,8 +13,9 @@ namespace openea {
 /// contract (DESIGN.md, "Compute core"):
 ///
 ///  * Thread count is a process-global knob (SetThreads / --threads /
-///    OPENEA_THREADS). The default is 1, so every run is serial and
-///    seed-compatible unless parallelism is requested explicitly.
+///    OPENEA_THREADS), default 1. It decides how many workers run, never
+///    what they compute: the epoch trainers draw from the same per-shard
+///    streams at every count, so a run's results do not depend on it.
 ///  * Loops whose iterations write disjoint outputs are bit-identical at any
 ///    thread count because chunking only changes *who* runs an iteration.
 ///  * Reductions are deterministic when the chunk grain is fixed by the

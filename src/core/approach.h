@@ -22,10 +22,11 @@ struct TrainConfig {
   int negatives_per_positive = 5;
   size_t batch_size = 2000;
   uint64_t seed = 1;
-  /// Worker threads for the parallel compute core (src/common/parallel.h).
-  /// 1 keeps the exact seed-compatible serial training path; > 1 switches
-  /// the epoch trainers to the deterministic sharded path and parallelizes
-  /// the GEMM / similarity / ranking kernels. 0 = all hardware threads.
+  /// Worker threads for the parallel compute core (src/common/parallel.h)
+  /// that run the epoch trainers' shard draws and the GEMM / similarity /
+  /// ranking kernels. Results are bit-identical at every count (one
+  /// training stream; DESIGN.md "Epoch streams"). 0 = all hardware
+  /// threads.
   int threads = 1;
   /// Ablation switches for Figure 6 and Table 8.
   bool use_attributes = true;

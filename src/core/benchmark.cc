@@ -332,7 +332,6 @@ CrossValidationResult RunCrossValidation(
   // Surface configuration errors before any data generation or training.
   const Status valid = config.Validate();
   OPENEA_CHECK(valid.ok()) << valid.ToString();
-  OPENEA_CHECK_GE(checkpoint_config.cadence, 1);
 
   CrossValidationResult result;
   result.approach = approach_name;
@@ -493,7 +492,7 @@ CrossValidationResult RunCrossValidation(
       auto made = CreateApproach(approach_name, attempt_config);
       OPENEA_CHECK(made.ok()) << made.status().ToString();
       auto approach = std::move(made).value();
-      health::HealthMonitor monitor(checkpoint_config.guard);
+      health::HealthMonitor monitor;
       {
         telemetry::ScopedSpan span("train");
         phase_watch.Reset();
@@ -516,8 +515,7 @@ CrossValidationResult RunCrossValidation(
         break;
       }
       record.health.retries = attempt + 1;
-      attempt_config.learning_rate = static_cast<float>(
-          attempt_config.learning_rate * checkpoint_config.retry_lr_backoff);
+      attempt_config.learning_rate *= 0.5f;
       telemetry::IncrCounter("fault/retries");
       trace::Instant("fold_retry");
       OPENEA_LOG(kWarning) << approach_name << " on " << dataset.name
@@ -567,9 +565,7 @@ CrossValidationResult RunCrossValidation(
             SanitizeForFilename(dataset.name) + "_fold" + std::to_string(f) +
             ".shard";
         record.metrics = eval::EvaluateRankingSharded(
-            model, task.test, align::DistanceMetric::kCosine, shard_path,
-            checkpoint_config.shard_rows_per_bank,
-            checkpoint_config.shard_max_resident_banks);
+            model, task.test, align::DistanceMetric::kCosine, shard_path);
       } else {
         record.metrics = eval::EvaluateRanking(
             model, task.test, align::DistanceMetric::kCosine);
@@ -612,8 +608,7 @@ CrossValidationResult RunCrossValidation(
     state.folds.push_back(record);
     telemetry::IncrCounter("cv/folds");
 
-    if (checkpoint_config.enabled() &&
-        ((f + 1) % checkpoint_config.cadence == 0 || f + 1 == num_folds)) {
+    if (checkpoint_config.enabled()) {
       const Status saved = SaveCvCheckpoint(ckpt_path, state);
       if (!saved.ok()) {
         telemetry::IncrCounter("fault/checkpoint_write_failures");

@@ -64,19 +64,16 @@ struct CheckpointConfig {
   /// Directory for fold checkpoints; empty disables checkpointing. Created
   /// on first write.
   std::string directory;
-  /// Write a checkpoint after every `cadence` completed folds (>= 1).
-  int cadence = 1;
   /// Load an existing checkpoint and skip its completed folds. A missing,
   /// damaged, or configuration-mismatched checkpoint is ignored (with a
   /// warning) and the run recomputes from scratch.
   bool resume = false;
   /// Health-guard policy: a fold whose training diverges or goes non-finite
-  /// is retried from the fold's initial state with the learning rate scaled
-  /// by `retry_lr_backoff`, at most `max_retries` times; a fold that stays
-  /// unhealthy is marked degraded instead of aborting the suite.
+  /// (under the default health::GuardConfig) is retried from the fold's
+  /// initial state with the learning rate halved, at most `max_retries`
+  /// times; a fold that stays unhealthy is marked degraded instead of
+  /// aborting the suite.
   int max_retries = 2;
-  double retry_lr_backoff = 0.5;
-  health::GuardConfig guard;
 
   /// Out-of-core eval (DESIGN.md, "Out-of-core scale"): when non-empty,
   /// each fold's ranking evaluation streams its candidate rows through a
@@ -88,12 +85,9 @@ struct CheckpointConfig {
   /// it between kill and resume without invalidating its checkpoint. Fold
   /// shard files are left in place: they are serve-loadable artifacts
   /// (align-serve --checkpoint accepts them directly). Independent of
-  /// `directory`; either can be set without the other.
+  /// `directory`; either can be set without the other. The files use
+  /// EvaluateRankingSharded's default bank size and residency budget.
   std::string shard_dir;
-  /// Rows per bank of the fold shard files.
-  size_t shard_rows_per_bank = 4096;
-  /// Residency budget (mapped banks) of the eval-time scan; 0 = unlimited.
-  size_t shard_max_resident_banks = 0;
 
   bool enabled() const { return !directory.empty(); }
   bool sharded_eval() const { return !shard_dir.empty(); }

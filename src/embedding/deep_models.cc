@@ -8,21 +8,9 @@
 #include "src/math/vec.h"
 
 namespace openea::embedding {
-namespace {
 
 using math::EmbeddingTable;
 using math::InitScheme;
-
-float LogisticGradScale(float score, float label) {
-  return label * (math::Sigmoid(label * score) - 1.0f);
-}
-
-float LogisticLoss(float score, float label) {
-  const float p = math::Sigmoid(label * score);
-  return -std::log(std::max(p, 1e-7f));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ProjE
@@ -30,8 +18,7 @@ float LogisticLoss(float score, float label) {
 
 ProjEModel::ProjEModel(size_t num_entities, size_t num_relations,
                        const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : LogisticTripleModel(num_entities, options, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng),
       combine_u_(1, options.dim, InitScheme::kUniform, rng),
       combine_v_(1, options.dim, InitScheme::kUniform, rng),
@@ -57,7 +44,7 @@ float ProjEModel::Step(const kg::Triple& t, float label) {
     hidden[i] = std::tanh(u[i] * h[i] + v[i] * r[i] + b[i]);
     score += hidden[i] * tl[i];
   }
-  const float g = LogisticGradScale(score, label);
+  const float g = math::LogisticGradScale(score, label);
   const float lr = options_.learning_rate;
   std::vector<float> grad(d), grad_hidden(d);
 
@@ -77,11 +64,7 @@ float ProjEModel::Step(const kg::Triple& t, float label) {
   for (size_t i = 0; i < d; ++i) grad[i] = grad_hidden[i] * r[i];
   combine_v_.ApplyGradient(0, grad, lr);
   bias_.ApplyGradient(0, grad_hidden, lr);
-  return LogisticLoss(score, label);
-}
-
-float ProjEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
-  return Step(pos, +1.0f) + Step(neg, -1.0f);
+  return math::LogisticLoss(score, label);
 }
 
 float ProjEModel::ScoreTriple(const kg::Triple& t) const {
@@ -99,16 +82,13 @@ float ProjEModel::ScoreTriple(const kg::Triple& t) const {
   return score;
 }
 
-void ProjEModel::PostEpoch() { entities_.NormalizeAllRows(); }
-
 // ---------------------------------------------------------------------------
 // ConvE
 // ---------------------------------------------------------------------------
 
 ConvEModel::ConvEModel(size_t num_entities, size_t num_relations,
                        const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : LogisticTripleModel(num_entities, options, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng) {
   // Pick the most square factorization of dim with width >= 3.
   grid_w_ = 1;
@@ -180,7 +160,7 @@ float ConvEModel::Step(const kg::Triple& t, float label) {
   }
   float score = math::Dot(z, tl);
 
-  const float g = LogisticGradScale(score, label);
+  const float g = math::LogisticGradScale(score, label);
   // The shared convolution/FC parameters receive gradients from every
   // triple, so ConvE needs a smaller step than the shallow models to stay
   // stable at the library-wide default learning rate.
@@ -236,11 +216,7 @@ float ConvEModel::Step(const kg::Triple& t, float label) {
   }
   entities_.ApplyGradient(t.head, grad_h, lr);
   relations_.ApplyGradient(t.relation, grad_r, lr);
-  return LogisticLoss(score, label);
-}
-
-float ConvEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
-  return Step(pos, +1.0f) + Step(neg, -1.0f);
+  return math::LogisticLoss(score, label);
 }
 
 float ConvEModel::ScoreTriple(const kg::Triple& t) const {
@@ -273,7 +249,5 @@ float ConvEModel::ScoreTriple(const kg::Triple& t) const {
   }
   return math::Dot(z, tl);
 }
-
-void ConvEModel::PostEpoch() { entities_.NormalizeAllRows(); }
 
 }  // namespace openea::embedding

@@ -11,27 +11,17 @@ namespace openea::embedding {
 /// non-linear combination of head and relation embeddings,
 /// score(t) = t . tanh(u o h + v o r + b), trained with a logistic loss on
 /// sampled negatives (our stand-in for its listwise softmax).
-class ProjEModel : public TripleModel {
+class ProjEModel : public LogisticTripleModel {
  public:
   ProjEModel(size_t num_entities, size_t num_relations,
              const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "ProjE"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
-  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  float Step(const kg::Triple& t, float label);
+  float Step(const kg::Triple& t, float label) override;
 
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
   // Combination parameters stored as 1-row tables so they share the AdaGrad
   // machinery: u, v (diagonal combination matrices) and bias b.
@@ -45,26 +35,17 @@ class ProjEModel : public TripleModel {
 /// passed through ReLU and a fully-connected layer, and scored against the
 /// tail by dot product; logistic loss on sampled negatives (stand-in for
 /// 1-N scoring). All backprop is explicit.
-class ConvEModel : public TripleModel {
+class ConvEModel : public LogisticTripleModel {
  public:
   ConvEModel(size_t num_entities, size_t num_relations,
              const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "ConvE"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
-  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  float Step(const kg::Triple& t, float label);
+  float Step(const kg::Triple& t, float label) override;
 
-  TripleModelOptions options_;
   size_t grid_h_ = 0;   // Reshape height; grid_h * grid_w == dim.
   size_t grid_w_ = 0;
   size_t conv_h_ = 0;   // Output feature-map height ((2*grid_h) - 2).
@@ -72,7 +53,6 @@ class ConvEModel : public TripleModel {
   static constexpr size_t kKernels = 4;
   static constexpr size_t kKernelSize = 3;
 
-  math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
   math::EmbeddingTable kernels_;  // One row: kKernels * 3 * 3 weights.
   math::EmbeddingTable fc_;       // One row: (kernels*conv_h*conv_w) * dim.

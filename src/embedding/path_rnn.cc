@@ -9,15 +9,6 @@
 namespace openea::embedding {
 namespace {
 
-float LogisticGradScale(float score, float label) {
-  return label * (math::Sigmoid(label * score) - 1.0f);
-}
-
-float LogisticLoss(float score, float label) {
-  const float p = math::Sigmoid(label * score);
-  return -std::log(std::max(p, 1e-7f));
-}
-
 void AddOuter(math::Matrix& grad, std::span<const float> a,
               std::span<const float> b) {
   // grad += a b^T, one dispatched axpy per output row.
@@ -119,8 +110,8 @@ float RsnModel::TrainOnChain(const std::vector<kg::Triple>& chain, Rng& rng) {
     auto consume_candidate = [&](kg::EntityId cand, float label) {
       const auto cand_row = entities_.Row(cand);
       const float score = math::Dot(o, cand_row);
-      const float g = LogisticGradScale(score, label);
-      total_loss += LogisticLoss(score, label);
+      const float g = math::LogisticGradScale(score, label);
+      total_loss += math::LogisticLoss(score, label);
       for (size_t i = 0; i < d; ++i) {
         g_o[i] += g * cand_row[i];
         g_x[i] = g * o[i];

@@ -6,23 +6,8 @@
 #include "src/math/vec.h"
 
 namespace openea::embedding {
-namespace {
 
-using math::EmbeddingTable;
 using math::InitScheme;
-
-/// Logistic-loss gradient scale: dL/ds for L = -log sigma(label * s) is
-/// label * (sigma(label * s) - 1).
-float LogisticGradScale(float score, float label) {
-  return label * (math::Sigmoid(label * score) - 1.0f);
-}
-
-float LogisticLoss(float score, float label) {
-  const float p = math::Sigmoid(label * score);
-  return -std::log(std::max(p, 1e-7f));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DistMult
@@ -30,8 +15,7 @@ float LogisticLoss(float score, float label) {
 
 DistMultModel::DistMultModel(size_t num_entities, size_t num_relations,
                              const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : LogisticTripleModel(num_entities, options, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng) {}
 
 float DistMultModel::Step(const kg::Triple& t, float label) {
@@ -39,9 +23,8 @@ float DistMultModel::Step(const kg::Triple& t, float label) {
   const auto h = entities_.Row(t.head);
   const auto r = relations_.Row(t.relation);
   const auto tl = entities_.Row(t.tail);
-  float score = 0.0f;
-  for (size_t i = 0; i < d; ++i) score += h[i] * r[i] * tl[i];
-  const float g = LogisticGradScale(score, label);
+  const float score = ScoreTriple(t);
+  const float g = math::LogisticGradScale(score, label);
   std::vector<float> grad(d);
   const float lr = options_.learning_rate;
   for (size_t i = 0; i < d; ++i) grad[i] = g * r[i] * tl[i];
@@ -50,12 +33,7 @@ float DistMultModel::Step(const kg::Triple& t, float label) {
   relations_.ApplyGradient(t.relation, grad, lr);
   for (size_t i = 0; i < d; ++i) grad[i] = g * h[i] * r[i];
   entities_.ApplyGradient(t.tail, grad, lr);
-  return LogisticLoss(score, label);
-}
-
-float DistMultModel::TrainOnPair(const kg::Triple& pos,
-                                 const kg::Triple& neg) {
-  return Step(pos, +1.0f) + Step(neg, -1.0f);
+  return math::LogisticLoss(score, label);
 }
 
 float DistMultModel::ScoreTriple(const kg::Triple& t) const {
@@ -67,16 +45,13 @@ float DistMultModel::ScoreTriple(const kg::Triple& t) const {
   return score;
 }
 
-void DistMultModel::PostEpoch() { entities_.NormalizeAllRows(); }
-
 // ---------------------------------------------------------------------------
 // HolE
 // ---------------------------------------------------------------------------
 
 HolEModel::HolEModel(size_t num_entities, size_t num_relations,
                      const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : LogisticTripleModel(num_entities, options, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng) {}
 
 float HolEModel::Step(const kg::Triple& t, float label) {
@@ -93,7 +68,7 @@ float HolEModel::Step(const kg::Triple& t, float label) {
     corr[k] = sum;
   }
   const float score = math::Dot(r, corr);
-  const float g = LogisticGradScale(score, label);
+  const float g = math::LogisticGradScale(score, label);
   const float lr = options_.learning_rate;
 
   std::vector<float> grad(d);
@@ -114,11 +89,7 @@ float HolEModel::Step(const kg::Triple& t, float label) {
     grad[j] = g * sum;
   }
   entities_.ApplyGradient(t.tail, grad, lr);
-  return LogisticLoss(score, label);
-}
-
-float HolEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
-  return Step(pos, +1.0f) + Step(neg, -1.0f);
+  return math::LogisticLoss(score, label);
 }
 
 float HolEModel::ScoreTriple(const kg::Triple& t) const {
@@ -135,63 +106,51 @@ float HolEModel::ScoreTriple(const kg::Triple& t) const {
   return score;
 }
 
-void HolEModel::PostEpoch() { entities_.NormalizeAllRows(); }
-
 // ---------------------------------------------------------------------------
 // SimplE
 // ---------------------------------------------------------------------------
 
 SimplEModel::SimplEModel(size_t num_entities, size_t num_relations,
                          const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      head_role_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : LogisticTripleModel(num_entities, options, rng),
       tail_role_(num_entities, options.dim, InitScheme::kUnit, rng),
       forward_(num_relations, options.dim, InitScheme::kUnit, rng),
       inverse_(num_relations, options.dim, InitScheme::kUnit, rng) {}
 
 float SimplEModel::Step(const kg::Triple& t, float label) {
   const size_t d = options_.dim;
-  const auto hh = head_role_.Row(t.head);
+  const auto hh = entities_.Row(t.head);
   const auto tt = tail_role_.Row(t.tail);
-  const auto ht = head_role_.Row(t.tail);
+  const auto ht = entities_.Row(t.tail);
   const auto th = tail_role_.Row(t.head);
   const auto rf = forward_.Row(t.relation);
   const auto ri = inverse_.Row(t.relation);
-  float s1 = 0.0f, s2 = 0.0f;
-  for (size_t i = 0; i < d; ++i) {
-    s1 += hh[i] * rf[i] * tt[i];
-    s2 += ht[i] * ri[i] * th[i];
-  }
-  const float score = 0.5f * (s1 + s2);
-  const float g = 0.5f * LogisticGradScale(score, label);
+  const float score = ScoreTriple(t);
+  const float g = 0.5f * math::LogisticGradScale(score, label);
   const float lr = options_.learning_rate;
   std::vector<float> grad(d);
 
   for (size_t i = 0; i < d; ++i) grad[i] = g * rf[i] * tt[i];
-  head_role_.ApplyGradient(t.head, grad, lr);
+  entities_.ApplyGradient(t.head, grad, lr);
   for (size_t i = 0; i < d; ++i) grad[i] = g * hh[i] * tt[i];
   forward_.ApplyGradient(t.relation, grad, lr);
   for (size_t i = 0; i < d; ++i) grad[i] = g * hh[i] * rf[i];
   tail_role_.ApplyGradient(t.tail, grad, lr);
 
   for (size_t i = 0; i < d; ++i) grad[i] = g * ri[i] * th[i];
-  head_role_.ApplyGradient(t.tail, grad, lr);
+  entities_.ApplyGradient(t.tail, grad, lr);
   for (size_t i = 0; i < d; ++i) grad[i] = g * ht[i] * th[i];
   inverse_.ApplyGradient(t.relation, grad, lr);
   for (size_t i = 0; i < d; ++i) grad[i] = g * ht[i] * ri[i];
   tail_role_.ApplyGradient(t.head, grad, lr);
-  return LogisticLoss(score, label);
-}
-
-float SimplEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
-  return Step(pos, +1.0f) + Step(neg, -1.0f);
+  return math::LogisticLoss(score, label);
 }
 
 float SimplEModel::ScoreTriple(const kg::Triple& t) const {
   const size_t d = options_.dim;
-  const auto hh = head_role_.Row(t.head);
+  const auto hh = entities_.Row(t.head);
   const auto tt = tail_role_.Row(t.tail);
-  const auto ht = head_role_.Row(t.tail);
+  const auto ht = entities_.Row(t.tail);
   const auto th = tail_role_.Row(t.head);
   const auto rf = forward_.Row(t.relation);
   const auto ri = inverse_.Row(t.relation);
@@ -204,7 +163,7 @@ float SimplEModel::ScoreTriple(const kg::Triple& t) const {
 }
 
 void SimplEModel::PostEpoch() {
-  head_role_.NormalizeAllRows();
+  entities_.NormalizeAllRows();
   tail_role_.NormalizeAllRows();
 }
 
@@ -214,8 +173,7 @@ void SimplEModel::PostEpoch() {
 
 RotatEModel::RotatEModel(size_t num_entities, size_t num_relations,
                          const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : TripleModel(num_entities, options, rng),
       phases_(num_relations, options.dim / 2, InitScheme::kUniform, rng) {
   // Phases initialized uniformly in [-pi, pi].
   for (float& v : phases_.MutableData()) {
@@ -223,31 +181,32 @@ RotatEModel::RotatEModel(size_t num_entities, size_t num_relations,
   }
 }
 
+float RotatEModel::Energy(const kg::Triple& t, float* dre,
+                          float* dim) const {
+  const auto h = entities_.Row(t.head);
+  const auto tl = entities_.Row(t.tail);
+  const auto theta = phases_.Row(t.relation);
+  float e = 0.0f;
+  for (size_t j = 0; j < options_.dim / 2; ++j) {
+    const float c = std::cos(theta[j]);
+    const float s = std::sin(theta[j]);
+    const float hre = h[2 * j], him = h[2 * j + 1];
+    const float re = hre * c - him * s - tl[2 * j];
+    const float im = hre * s + him * c - tl[2 * j + 1];
+    if (dre != nullptr) {
+      dre[j] = re;
+      dim[j] = im;
+    }
+    e += re * re + im * im;
+  }
+  return e;
+}
+
 float RotatEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t half = options_.dim / 2;
   std::vector<float> dre_p(half), dim_p(half), dre_n(half), dim_n(half);
-
-  auto energy = [&](const kg::Triple& t, std::span<float> dre,
-                    std::span<float> dim) -> float {
-    const auto h = entities_.Row(t.head);
-    const auto tl = entities_.Row(t.tail);
-    const auto theta = phases_.Row(t.relation);
-    float e = 0.0f;
-    for (size_t j = 0; j < half; ++j) {
-      const float c = std::cos(theta[j]);
-      const float s = std::sin(theta[j]);
-      const float hre = h[2 * j], him = h[2 * j + 1];
-      const float rot_re = hre * c - him * s;
-      const float rot_im = hre * s + him * c;
-      dre[j] = rot_re - tl[2 * j];
-      dim[j] = rot_im - tl[2 * j + 1];
-      e += dre[j] * dre[j] + dim[j] * dim[j];
-    }
-    return e;
-  };
-
-  const float ep = energy(pos, dre_p, dim_p);
-  const float en = energy(neg, dre_n, dim_n);
+  const float ep = Energy(pos, dre_p.data(), dim_p.data());
+  const float en = Energy(neg, dre_n.data(), dim_n.data());
   const float raw = options_.margin + ep - en;
   if (raw <= 0.0f) return 0.0f;
   const float lr = options_.learning_rate;
@@ -284,22 +243,8 @@ float RotatEModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
 }
 
 float RotatEModel::ScoreTriple(const kg::Triple& t) const {
-  const size_t half = options_.dim / 2;
-  const auto h = entities_.Row(t.head);
-  const auto tl = entities_.Row(t.tail);
-  const auto theta = phases_.Row(t.relation);
-  float e = 0.0f;
-  for (size_t j = 0; j < half; ++j) {
-    const float c = std::cos(theta[j]);
-    const float s = std::sin(theta[j]);
-    const float dre = h[2 * j] * c - h[2 * j + 1] * s - tl[2 * j];
-    const float dim = h[2 * j] * s + h[2 * j + 1] * c - tl[2 * j + 1];
-    e += dre * dre + dim * dim;
-  }
-  return -e;
+  return -Energy(t, nullptr, nullptr);
 }
-
-void RotatEModel::PostEpoch() { entities_.NormalizeAllRows(); }
 
 // ---------------------------------------------------------------------------
 // ComplEx
@@ -307,8 +252,7 @@ void RotatEModel::PostEpoch() { entities_.NormalizeAllRows(); }
 
 ComplExModel::ComplExModel(size_t num_entities, size_t num_relations,
                            const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : LogisticTripleModel(num_entities, options, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng) {}
 
 float ComplExModel::Step(const kg::Triple& t, float label) {
@@ -316,16 +260,8 @@ float ComplExModel::Step(const kg::Triple& t, float label) {
   const auto h = entities_.Row(t.head);
   const auto r = relations_.Row(t.relation);
   const auto tl = entities_.Row(t.tail);
-  // score = sum_j Re(h_j * r_j * conj(t_j)).
-  float score = 0.0f;
-  for (size_t j = 0; j < half; ++j) {
-    const float hre = h[2 * j], him = h[2 * j + 1];
-    const float rre = r[2 * j], rim = r[2 * j + 1];
-    const float tre = tl[2 * j], tim = tl[2 * j + 1];
-    score += hre * rre * tre + him * rre * tim + hre * rim * tim -
-             him * rim * tre;
-  }
-  const float g = LogisticGradScale(score, label);
+  const float score = ScoreTriple(t);
+  const float g = math::LogisticGradScale(score, label);
   const float lr = options_.learning_rate;
   std::vector<float> grad(options_.dim);
   // d/dh.
@@ -352,12 +288,7 @@ float ComplExModel::Step(const kg::Triple& t, float label) {
     grad[2 * j + 1] = g * (him * rre + hre * rim);
   }
   entities_.ApplyGradient(t.tail, grad, lr);
-  return LogisticLoss(score, label);
-}
-
-float ComplExModel::TrainOnPair(const kg::Triple& pos,
-                                const kg::Triple& neg) {
-  return Step(pos, +1.0f) + Step(neg, -1.0f);
+  return math::LogisticLoss(score, label);
 }
 
 float ComplExModel::ScoreTriple(const kg::Triple& t) const {
@@ -375,7 +306,5 @@ float ComplExModel::ScoreTriple(const kg::Triple& t) const {
   }
   return score;
 }
-
-void ComplExModel::PostEpoch() { entities_.NormalizeAllRows(); }
 
 }  // namespace openea::embedding

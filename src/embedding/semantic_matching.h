@@ -8,83 +8,54 @@
 namespace openea::embedding {
 
 /// DistMult (Yang et al. 2015): score = sum_i h_i r_i t_i, logistic loss.
-class DistMultModel : public TripleModel {
+class DistMultModel : public LogisticTripleModel {
  public:
   DistMultModel(size_t num_entities, size_t num_relations,
                 const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "DistMult"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
-  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  float Step(const kg::Triple& t, float label);
+  float Step(const kg::Triple& t, float label) override;
 
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
 };
 
 /// HolE (Nickel et al. 2016): score = r . (h star t) where star is circular
 /// correlation; logistic loss. O(d^2) per triple at our dimensions.
-class HolEModel : public TripleModel {
+class HolEModel : public LogisticTripleModel {
  public:
   HolEModel(size_t num_entities, size_t num_relations,
             const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "HolE"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
-  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  float Step(const kg::Triple& t, float label);
+  float Step(const kg::Triple& t, float label) override;
 
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
 };
 
 /// SimplE (Kazemi & Poole 2018): each entity has head/tail-role vectors and
 /// each relation a forward/inverse vector; the score averages the two
 /// canonical-polyadic terms. Exported embeddings concatenate the two roles.
-class SimplEModel : public TripleModel {
+/// The head-role vectors are the primary entity table (calibration etc.).
+class SimplEModel : public LogisticTripleModel {
  public:
   SimplEModel(size_t num_entities, size_t num_relations,
               const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "SimplE"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return head_role_.num_rows(); }
-  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  /// The head-role table acts as the primary table (calibration etc.).
-  math::EmbeddingTable& entity_table() override { return head_role_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return head_role_;
-  }
   void PostEpoch() override;
 
   const math::EmbeddingTable& tail_role() const { return tail_role_; }
 
  private:
-  float Step(const kg::Triple& t, float label);
+  float Step(const kg::Triple& t, float label) override;
 
-  TripleModelOptions options_;
-  math::EmbeddingTable head_role_;
   math::EmbeddingTable tail_role_;
   math::EmbeddingTable forward_;
   math::EmbeddingTable inverse_;
@@ -100,47 +71,32 @@ class RotatEModel : public TripleModel {
               const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "RotatE"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
   float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;  // Interleaved (re, im) pairs, dim floats.
-  math::EmbeddingTable phases_;    // dim/2 phases per relation.
+  /// Returns the energy ||h o r - t||^2; writes the real and imaginary
+  /// residuals (dim/2 floats each) to `dre` and `dim` unless they are null.
+  float Energy(const kg::Triple& t, float* dre, float* dim) const;
+
+  math::EmbeddingTable phases_;  // dim/2 phases per relation.
 };
 
 /// ComplEx (Trouillon et al. 2016): complex-valued bilinear model,
 /// score = Re(<h, r, conj(t)>), logistic loss. Entities and relations are
 /// complex vectors stored as interleaved (re, im) pairs of `dim` floats
 /// (dim/2 complex coordinates).
-class ComplExModel : public TripleModel {
+class ComplExModel : public LogisticTripleModel {
  public:
   ComplExModel(size_t num_entities, size_t num_relations,
                const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "ComplEx"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
-  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  float Step(const kg::Triple& t, float label);
+  float Step(const kg::Triple& t, float label) override;
 
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
 };
 

@@ -8,7 +8,6 @@
 namespace openea::embedding {
 namespace {
 
-using math::EmbeddingTable;
 using math::InitScheme;
 
 /// Applies the margin-ranking rule shared by the translational family:
@@ -38,9 +37,8 @@ PairGate MarginGate(float margin, float pos_energy, float neg_energy) {
 TransEModel::TransEModel(size_t num_entities, size_t num_relations,
                          const TripleModelOptions& options, Rng& rng,
                          LimitLoss limit)
-    : options_(options),
+    : TripleModel(num_entities, options, rng),
       limit_(limit),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng),
       scratch_(2 * options.dim) {}
 
@@ -115,45 +113,39 @@ float TransEModel::ScoreTriple(const kg::Triple& t) const {
   return -e;
 }
 
-void TransEModel::PostEpoch() {
-  // TransE's classic unit-norm constraint on entities.
-  entities_.NormalizeAllRows();
-}
-
 // ---------------------------------------------------------------------------
 // TransH
 // ---------------------------------------------------------------------------
 
 TransHModel::TransHModel(size_t num_entities, size_t num_relations,
                          const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : TripleModel(num_entities, options, rng),
       translations_(num_relations, options.dim, InitScheme::kUnit, rng),
       normals_(num_relations, options.dim, InitScheme::kUnit, rng),
       scratch_(4 * options.dim) {}
+
+float TransHModel::Energy(const kg::Triple& t, float* residual) const {
+  const auto h = entities_.Row(t.head);
+  const auto w = normals_.Row(t.relation);
+  const auto dr = translations_.Row(t.relation);
+  const auto tl = entities_.Row(t.tail);
+  const float wh = math::Dot(w, h);
+  const float wt = math::Dot(w, tl);
+  float e = 0.0f;
+  for (size_t i = 0; i < options_.dim; ++i) {
+    const float v = (h[i] - wh * w[i]) + dr[i] - (tl[i] - wt * w[i]);
+    if (residual != nullptr) residual[i] = v;
+    e += v * v;
+  }
+  return e;
+}
 
 float TransHModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t d = options_.dim;
   const std::span<float> rp(scratch_.data(), d), rn(rp.data() + d, d),
       grad(rn.data() + d, d), grad_w(grad.data() + d, d);
-
-  auto energy = [&](const kg::Triple& t, std::span<float> out) -> float {
-    const auto h = entities_.Row(t.head);
-    const auto w = normals_.Row(t.relation);
-    const auto dr = translations_.Row(t.relation);
-    const auto tl = entities_.Row(t.tail);
-    const float wh = math::Dot(w, h);
-    const float wt = math::Dot(w, tl);
-    float e = 0.0f;
-    for (size_t i = 0; i < d; ++i) {
-      out[i] = (h[i] - wh * w[i]) + dr[i] - (tl[i] - wt * w[i]);
-      e += out[i] * out[i];
-    }
-    return e;
-  };
-
-  const float ep = energy(pos, rp);
-  const float en = energy(neg, rn);
+  const float ep = Energy(pos, rp.data());
+  const float en = Energy(neg, rn.data());
   const PairGate gate = MarginGate(options_.margin, ep, en);
   if (!gate.active) return 0.0f;
   const float lr = options_.learning_rate;
@@ -188,23 +180,7 @@ float TransHModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
 }
 
 float TransHModel::ScoreTriple(const kg::Triple& t) const {
-  const size_t d = options_.dim;
-  const auto h = entities_.Row(t.head);
-  const auto w = normals_.Row(t.relation);
-  const auto dr = translations_.Row(t.relation);
-  const auto tl = entities_.Row(t.tail);
-  const float wh = math::Dot(w, h);
-  const float wt = math::Dot(w, tl);
-  float e = 0.0f;
-  for (size_t i = 0; i < d; ++i) {
-    const float v = (h[i] - wh * w[i]) + dr[i] - (tl[i] - wt * w[i]);
-    e += v * v;
-  }
-  return -e;
-}
-
-void TransHModel::PostEpoch() {
-  entities_.NormalizeAllRows();
+  return -Energy(t, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,8 +189,7 @@ void TransHModel::PostEpoch() {
 
 TransRModel::TransRModel(size_t num_entities, size_t num_relations,
                          const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : TripleModel(num_entities, options, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng),
       matrices_(num_relations, options.dim * options.dim,
                 InitScheme::kUniform, rng),
@@ -228,32 +203,33 @@ TransRModel::TransRModel(size_t num_entities, size_t num_relations,
   }
 }
 
+float TransRModel::Energy(const kg::Triple& t, float* residual) const {
+  const size_t d = options_.dim;
+  const auto h = entities_.Row(t.head);
+  const auto r = relations_.Row(t.relation);
+  const auto tl = entities_.Row(t.tail);
+  const auto m = matrices_.Row(t.relation);
+  float e = 0.0f;
+  for (size_t i = 0; i < d; ++i) {
+    float mh = 0.0f, mt = 0.0f;
+    for (size_t j = 0; j < d; ++j) {
+      mh += m[i * d + j] * h[j];
+      mt += m[i * d + j] * tl[j];
+    }
+    const float v = mh + r[i] - mt;
+    if (residual != nullptr) residual[i] = v;
+    e += v * v;
+  }
+  return e;
+}
+
 float TransRModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t d = options_.dim;
   const std::span<float> residual_p(scratch_.data(), d),
       residual_n(residual_p.data() + d, d), grad(residual_n.data() + d, d),
       grad_m(grad.data() + d, d * d);
-
-  auto energy = [&](const kg::Triple& t, std::span<float> out) -> float {
-    const auto h = entities_.Row(t.head);
-    const auto r = relations_.Row(t.relation);
-    const auto tl = entities_.Row(t.tail);
-    const auto m = matrices_.Row(t.relation);
-    float e = 0.0f;
-    for (size_t i = 0; i < d; ++i) {
-      float mh = 0.0f, mt = 0.0f;
-      for (size_t j = 0; j < d; ++j) {
-        mh += m[i * d + j] * h[j];
-        mt += m[i * d + j] * tl[j];
-      }
-      out[i] = mh + r[i] - mt;
-      e += out[i] * out[i];
-    }
-    return e;
-  };
-
-  const float ep = energy(pos, residual_p);
-  const float en = energy(neg, residual_n);
+  const float ep = Energy(pos, residual_p.data());
+  const float en = Energy(neg, residual_n.data());
   const PairGate gate = MarginGate(options_.margin, ep, en);
   if (!gate.active) return 0.0f;
   const float lr = options_.learning_rate;
@@ -289,26 +265,7 @@ float TransRModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
 }
 
 float TransRModel::ScoreTriple(const kg::Triple& t) const {
-  const size_t d = options_.dim;
-  const auto h = entities_.Row(t.head);
-  const auto r = relations_.Row(t.relation);
-  const auto tl = entities_.Row(t.tail);
-  const auto m = matrices_.Row(t.relation);
-  float e = 0.0f;
-  for (size_t i = 0; i < d; ++i) {
-    float mh = 0.0f, mt = 0.0f;
-    for (size_t j = 0; j < d; ++j) {
-      mh += m[i * d + j] * h[j];
-      mt += m[i * d + j] * tl[j];
-    }
-    const float v = mh + r[i] - mt;
-    e += v * v;
-  }
-  return -e;
-}
-
-void TransRModel::PostEpoch() {
-  entities_.NormalizeAllRows();
+  return -Energy(t, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,8 +274,7 @@ void TransRModel::PostEpoch() {
 
 TransDModel::TransDModel(size_t num_entities, size_t num_relations,
                          const TripleModelOptions& options, Rng& rng)
-    : options_(options),
-      entities_(num_entities, options.dim, InitScheme::kUnit, rng),
+    : TripleModel(num_entities, options, rng),
       entity_proj_(num_entities, options.dim, InitScheme::kUniform, rng),
       relations_(num_relations, options.dim, InitScheme::kUnit, rng),
       relation_proj_(num_relations, options.dim, InitScheme::kUniform, rng),
@@ -328,30 +284,30 @@ TransDModel::TransDModel(size_t num_entities, size_t num_relations,
   for (float& v : relation_proj_.MutableData()) v *= 0.1f;
 }
 
+float TransDModel::Energy(const kg::Triple& t, float* residual) const {
+  const auto h = entities_.Row(t.head);
+  const auto hp = entity_proj_.Row(t.head);
+  const auto r = relations_.Row(t.relation);
+  const auto rpv = relation_proj_.Row(t.relation);
+  const auto tl = entities_.Row(t.tail);
+  const auto tpv = entity_proj_.Row(t.tail);
+  const float hph = math::Dot(hp, h);
+  const float tpt = math::Dot(tpv, tl);
+  float e = 0.0f;
+  for (size_t i = 0; i < options_.dim; ++i) {
+    const float v = (h[i] + hph * rpv[i]) + r[i] - (tl[i] + tpt * rpv[i]);
+    if (residual != nullptr) residual[i] = v;
+    e += v * v;
+  }
+  return e;
+}
+
 float TransDModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
   const size_t d = options_.dim;
   const std::span<float> rp(scratch_.data(), d), rn(rp.data() + d, d),
       grad(rn.data() + d, d);
-
-  auto energy = [&](const kg::Triple& t, std::span<float> out) -> float {
-    const auto h = entities_.Row(t.head);
-    const auto hp = entity_proj_.Row(t.head);
-    const auto r = relations_.Row(t.relation);
-    const auto rpv = relation_proj_.Row(t.relation);
-    const auto tl = entities_.Row(t.tail);
-    const auto tpv = entity_proj_.Row(t.tail);
-    const float hph = math::Dot(hp, h);
-    const float tpt = math::Dot(tpv, tl);
-    float e = 0.0f;
-    for (size_t i = 0; i < d; ++i) {
-      out[i] = (h[i] + hph * rpv[i]) + r[i] - (tl[i] + tpt * rpv[i]);
-      e += out[i] * out[i];
-    }
-    return e;
-  };
-
-  const float ep = energy(pos, rp);
-  const float en = energy(neg, rn);
+  const float ep = Energy(pos, rp.data());
+  const float en = Energy(neg, rn.data());
   const PairGate gate = MarginGate(options_.margin, ep, en);
   if (!gate.active) return 0.0f;
   const float lr = options_.learning_rate;
@@ -396,25 +352,7 @@ float TransDModel::TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) {
 }
 
 float TransDModel::ScoreTriple(const kg::Triple& t) const {
-  const size_t d = options_.dim;
-  const auto h = entities_.Row(t.head);
-  const auto hp = entity_proj_.Row(t.head);
-  const auto r = relations_.Row(t.relation);
-  const auto rpv = relation_proj_.Row(t.relation);
-  const auto tl = entities_.Row(t.tail);
-  const auto tpv = entity_proj_.Row(t.tail);
-  const float hph = math::Dot(hp, h);
-  const float tpt = math::Dot(tpv, tl);
-  float e = 0.0f;
-  for (size_t i = 0; i < d; ++i) {
-    const float v = (h[i] + hph * rpv[i]) + r[i] - (tl[i] + tpt * rpv[i]);
-    e += v * v;
-  }
-  return -e;
-}
-
-void TransDModel::PostEpoch() {
-  entities_.NormalizeAllRows();
+  return -Energy(t, nullptr);
 }
 
 }  // namespace openea::embedding

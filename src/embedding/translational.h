@@ -32,16 +32,9 @@ class TransEModel : public TripleModel {
       : TransEModel(num_entities, num_relations, options, rng, LimitLoss()) {}
 
   std::string name() const override { return "TransE"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
   float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float TrainOnPositive(const kg::Triple& pos) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
   math::EmbeddingTable& relation_table() { return relations_; }
 
@@ -53,9 +46,7 @@ class TransEModel : public TripleModel {
   /// (direction * 2) * residual on h and r, its negation on t.
   void Descend(const kg::Triple& t, const float* residual, float direction);
 
-  TripleModelOptions options_;
   LimitLoss limit_;
-  math::EmbeddingTable entities_;
   math::EmbeddingTable relations_;
   std::vector<float> scratch_;  // Two residuals: pos, neg.
 };
@@ -69,19 +60,14 @@ class TransHModel : public TripleModel {
               const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "TransH"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
   float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
+  /// Returns the energy, the squared norm of the residual; writes the
+  /// residual (dim floats) to `residual` unless it is null.
+  float Energy(const kg::Triple& t, float* residual) const;
+
   math::EmbeddingTable translations_;  // d_r.
   math::EmbeddingTable normals_;       // w_r (unit).
   std::vector<float> scratch_;  // TrainOnPair's rows: rp, rn, grad, grad_w.
@@ -97,19 +83,14 @@ class TransRModel : public TripleModel {
               const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "TransR"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
   float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
+  /// Returns the energy, the squared norm of the residual; writes the
+  /// residual (dim floats) to `residual` unless it is null.
+  float Energy(const kg::Triple& t, float* residual) const;
+
   math::EmbeddingTable relations_;
   math::EmbeddingTable matrices_;  // One d*d row per relation.
   std::vector<float> scratch_;  // TrainOnPair's rows: rp, rn, grad, grad_m.
@@ -123,19 +104,14 @@ class TransDModel : public TripleModel {
               const TripleModelOptions& options, Rng& rng);
 
   std::string name() const override { return "TransD"; }
-  size_t dim() const override { return options_.dim; }
-  size_t num_entities() const override { return entities_.num_rows(); }
   float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) override;
   float ScoreTriple(const kg::Triple& t) const override;
-  math::EmbeddingTable& entity_table() override { return entities_; }
-  const math::EmbeddingTable& entity_table() const override {
-    return entities_;
-  }
-  void PostEpoch() override;
 
  private:
-  TripleModelOptions options_;
-  math::EmbeddingTable entities_;
+  /// Returns the energy, the squared norm of the residual; writes the
+  /// residual (dim floats) to `residual` unless it is null.
+  float Energy(const kg::Triple& t, float* residual) const;
+
   math::EmbeddingTable entity_proj_;    // h_p per entity.
   math::EmbeddingTable relations_;
   math::EmbeddingTable relation_proj_;  // r_p per relation.

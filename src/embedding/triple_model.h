@@ -39,13 +39,17 @@ const char* TripleModelKindName(TripleModelKind kind);
 /// A shallow KG embedding model trained by stochastic updates on
 /// (positive, negative) triple pairs — the canonical C++ KG-embedding
 /// training loop. All gradients are hand-derived (no autodiff; DESIGN.md).
+///
+/// The base owns the options and the primary entity table. Its constructor
+/// draws that table from `rng` before any member of the derived model, so
+/// every model draws its entity rows first.
 class TripleModel {
  public:
   virtual ~TripleModel() = default;
 
   virtual std::string name() const = 0;
-  virtual size_t dim() const = 0;
-  virtual size_t num_entities() const = 0;
+  size_t dim() const { return options_.dim; }
+  size_t num_entities() const { return entities_.num_rows(); }
 
   /// One SGD/AdaGrad step on a positive triple and its corruption; returns
   /// the (pre-update) loss.
@@ -67,16 +71,43 @@ class TripleModel {
 
   /// The primary entity embedding table (used for alignment calibration,
   /// swapping-free similarity, and embedding export).
-  virtual math::EmbeddingTable& entity_table() = 0;
-  virtual const math::EmbeddingTable& entity_table() const = 0;
+  math::EmbeddingTable& entity_table() { return entities_; }
+  const math::EmbeddingTable& entity_table() const { return entities_; }
 
   /// Embedding of entity `e` in the table used for alignment.
   std::span<const float> EntityEmbedding(kg::EntityId e) const {
-    return entity_table().Row(e);
+    return entities_.Row(e);
   }
 
-  /// Hook invoked once per epoch (norm constraints etc.).
-  virtual void PostEpoch() {}
+  /// Hook invoked once per epoch: the classic unit-norm constraint on the
+  /// entity rows. SimplE also normalizes its tail-role rows.
+  virtual void PostEpoch() { entities_.NormalizeAllRows(); }
+
+ protected:
+  TripleModel(size_t num_entities, const TripleModelOptions& options,
+              Rng& rng)
+      : options_(options),
+        entities_(num_entities, options.dim, math::InitScheme::kUnit, rng) {}
+
+  TripleModelOptions options_;
+  math::EmbeddingTable entities_;
+};
+
+/// A model trained by the logistic loss, one step per triple of the pair:
+/// label +1 on the positive, then -1 on the corruption.
+class LogisticTripleModel : public TripleModel {
+ public:
+  float TrainOnPair(const kg::Triple& pos, const kg::Triple& neg) final {
+    const float loss = Step(pos, +1.0f);
+    return loss + Step(neg, -1.0f);
+  }
+
+ protected:
+  using TripleModel::TripleModel;
+
+  /// One AdaGrad step on `t` with the given label; returns the
+  /// (pre-update) loss.
+  virtual float Step(const kg::Triple& t, float label) = 0;
 };
 
 /// Factory over all integrated models.

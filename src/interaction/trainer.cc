@@ -16,16 +16,23 @@
 namespace openea::interaction {
 namespace {
 
-/// Per-epoch telemetry shared by the epoch trainers: loss and throughput
-/// series (Figure 7-style convergence traces), epoch wall time, and the
-/// epoch counter; with a trace session active, the same numbers go out as
-/// timeline counter events plus an epoch-boundary instant. No-op without a
-/// sink or trace; never touches any RNG.
-void RecordEpoch(const char* kind, float loss, size_t positives,
-                 double seconds) {
+/// Ends an epoch of the given kind ("pair", "positive", "calibrate"): the
+/// `train/epoch_loss` fault point may poison the loss; the loss goes to the
+/// active health monitor's window for `kind`; and the per-epoch telemetry
+/// shared by the epoch trainers is recorded: loss and throughput series
+/// (Figure 7-style convergence traces), epoch wall time, and the epoch
+/// counter. With a trace session active, the same numbers go out as
+/// timeline counter events plus an epoch-boundary instant. Never touches
+/// any RNG.
+EpochOutcome FinishEpoch(const char* kind, float loss, size_t positives,
+                         double seconds) {
+  if (FAULT_POINT("train/epoch_loss")) {
+    loss = std::numeric_limits<float>::quiet_NaN();
+  }
+  const EpochOutcome outcome{loss, health::ReportLoss(loss, kind)};
   const bool telem = telemetry::Enabled();
   const bool tracing = trace::Enabled();
-  if (!telem && !tracing) return;
+  if (!telem && !tracing) return outcome;
   const std::string prefix = std::string("train/") + kind;
   if (telem) {
     const uint64_t epochs = telemetry::IncrCounter(prefix + "_epochs");
@@ -51,6 +58,7 @@ void RecordEpoch(const char* kind, float loss, size_t positives,
                      static_cast<double>(positives) / seconds);
     }
   }
+  return outcome;
 }
 
 /// Positives per shard of the epoch draws. Fixed (never derived from the
@@ -110,12 +118,8 @@ EpochOutcome TrainEpoch(embedding::TripleModel& model,
     }
   }
   model.PostEpoch();
-  float mean_loss = total / static_cast<float>(triples.size());
-  if (FAULT_POINT("train/epoch_loss")) {
-    mean_loss = std::numeric_limits<float>::quiet_NaN();
-  }
-  RecordEpoch("pair", mean_loss, triples.size(), watch.ElapsedSeconds());
-  return {mean_loss, health::ReportLoss(mean_loss)};
+  return FinishEpoch("pair", total / static_cast<float>(triples.size()),
+                     triples.size(), watch.ElapsedSeconds());
 }
 
 EpochOutcome TrainEpochPositiveOnly(embedding::TripleModel& model,
@@ -130,12 +134,9 @@ EpochOutcome TrainEpochPositiveOnly(embedding::TripleModel& model,
   float total = 0.0f;
   for (size_t idx : order) total += model.TrainOnPositive(triples[idx]);
   model.PostEpoch();
-  float mean_loss = total / static_cast<float>(triples.size());
-  if (FAULT_POINT("train/epoch_loss")) {
-    mean_loss = std::numeric_limits<float>::quiet_NaN();
-  }
-  RecordEpoch("positive", mean_loss, triples.size(), watch.ElapsedSeconds());
-  return {mean_loss, health::ReportLoss(mean_loss)};
+  return FinishEpoch("positive",
+                     total / static_cast<float>(triples.size()),
+                     triples.size(), watch.ElapsedSeconds());
 }
 
 EpochOutcome CalibrateEpoch(
@@ -202,13 +203,10 @@ EpochOutcome CalibrateEpoch(
       entities.ApplyGradient(c, grad, learning_rate);
     }
   }
-  float mean_loss =
-      pairs.empty() ? 0.0f : total / static_cast<float>(pairs.size());
-  if (FAULT_POINT("train/epoch_loss")) {
-    mean_loss = std::numeric_limits<float>::quiet_NaN();
-  }
-  RecordEpoch("calibrate", mean_loss, pairs.size(), watch.ElapsedSeconds());
-  return {mean_loss, health::ReportLoss(mean_loss)};
+  return FinishEpoch(
+      "calibrate",
+      pairs.empty() ? 0.0f : total / static_cast<float>(pairs.size()),
+      pairs.size(), watch.ElapsedSeconds());
 }
 
 size_t PathCompositionEpoch(math::EmbeddingTable& relations,

@@ -99,4 +99,13 @@ float Sigmoid(float x) {
   return z / (1.0f + z);
 }
 
+float LogisticLoss(float score, float label) {
+  const float p = Sigmoid(label * score);
+  return -std::log(std::max(p, 1e-7f));
+}
+
+float LogisticGradScale(float score, float label) {
+  return label * (Sigmoid(label * score) - 1.0f);
+}
+
 }  // namespace openea::math

@@ -62,6 +62,12 @@ void SoftmaxInPlace(std::span<float> x);
 /// Logistic sigmoid of a scalar.
 float Sigmoid(float x);
 
+/// Logistic loss of a score with label +1 or -1: L = -log sigma(label * s),
+/// with sigma clamped at 1e-7. LogisticGradScale is dL/ds,
+/// label * (sigma(label * s) - 1).
+float LogisticLoss(float score, float label);
+float LogisticGradScale(float score, float label);
+
 }  // namespace openea::math
 
 #endif  // OPENEA_MATH_VEC_H_

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "src/approaches/common.h"
 #include "src/approaches/imuse.h"
 #include "src/approaches/mtranse.h"
 #include "src/core/benchmark.h"
@@ -242,6 +244,116 @@ TEST(BenchmarkSuiteTest, BuildsDatasetsAndRunsFolds) {
   EXPECT_GT(result.mean_seconds, 0.0);
   EXPECT_EQ(result.first_fold_model.emb1.rows(),
             dataset.pair.kg1.NumEntities());
+}
+
+/// A snapshot whose cosine Hits@1 on EarlyStoppingPairs() is exactly
+/// matched / kScriptRows: emb1 is the identity, emb2 keeps the first
+/// `matched` rows and rotates the rest by one. Every row of emb2 is scaled
+/// by `tag` (cosine ignores it), so a returned snapshot names its epoch.
+constexpr size_t kScriptRows = 10;
+
+core::AlignmentModel ScriptedSnapshot(size_t matched, float tag) {
+  core::AlignmentModel model;
+  model.emb1 = math::Matrix(kScriptRows, kScriptRows, 0.0f);
+  model.emb2 = math::Matrix(kScriptRows, kScriptRows, 0.0f);
+  const size_t rotated = kScriptRows - matched;
+  for (size_t i = 0; i < kScriptRows; ++i) {
+    model.emb1.Row(i)[i] = 1.0f;
+    const size_t col =
+        i < matched ? i : matched + (i - matched + 1) % rotated;
+    model.emb2.Row(i)[col] = tag;
+  }
+  return model;
+}
+
+kg::Alignment EarlyStoppingPairs() {
+  kg::Alignment pairs;
+  for (size_t i = 0; i < kScriptRows; ++i) {
+    pairs.push_back({static_cast<kg::EntityId>(i),
+                     static_cast<kg::EntityId>(i)});
+  }
+  return pairs;
+}
+
+/// Runs TrainWithEarlyStopping over scripted snapshots: the check of epoch
+/// e matches `matched[e - 1]` rows. Records the trained and the evaluated
+/// epochs and returns the epoch of the kept snapshot.
+struct ScriptedRun {
+  std::vector<int> trained;
+  std::vector<int> evaluated;
+  int kept = 0;
+};
+
+ScriptedRun RunScript(int max_epochs, int eval_every, int patience,
+                      const std::vector<size_t>& matched) {
+  core::TrainConfig config;
+  config.max_epochs = max_epochs;
+  config.eval_every = eval_every;
+  ScriptedRun run;
+  int epoch = 0;
+  const core::AlignmentModel best = TrainWithEarlyStopping(
+      config, EarlyStoppingPairs(), patience,
+      [&](int e) {
+        epoch = e;
+        run.trained.push_back(e);
+      },
+      [&] {
+        run.evaluated.push_back(epoch);
+        return ScriptedSnapshot(matched.at(epoch - 1),
+                                static_cast<float>(epoch));
+      });
+  const auto values = best.emb2.Data();
+  run.kept = static_cast<int>(*std::max_element(values.begin(), values.end()));
+  return run;
+}
+
+TEST(EarlyStoppingTest, ScriptedSnapshotsScoreTheirMatchedShare) {
+  for (size_t matched : {0u, 3u, 8u, 10u}) {
+    EXPECT_DOUBLE_EQ(
+        eval::Hits1(ScriptedSnapshot(matched, 2.0f), EarlyStoppingPairs(),
+                    align::DistanceMetric::kCosine),
+        static_cast<double>(matched) / kScriptRows)
+        << matched;
+  }
+}
+
+TEST(EarlyStoppingTest, EvaluatesEveryEvalEveryEpochAndTheLast) {
+  const ScriptedRun run =
+      RunScript(/*max_epochs=*/10, /*eval_every=*/4, /*patience=*/100,
+                std::vector<size_t>(10, 5));
+  EXPECT_EQ(run.trained, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(run.evaluated, (std::vector<int>{4, 8, 10}));
+  // A run shorter than eval_every still checks (and keeps) its last epoch.
+  const ScriptedRun short_run = RunScript(3, 10, 2, {0, 0, 0});
+  EXPECT_EQ(short_run.evaluated, (std::vector<int>{3}));
+  EXPECT_EQ(short_run.kept, 3);
+}
+
+TEST(EarlyStoppingTest, StopsAfterPatienceChecksWithoutImprovement) {
+  // Checks score 2, 5, 5, 4: the third and fourth do not improve on 5.
+  const ScriptedRun run = RunScript(20, 1, 2, {2, 5, 5, 4, 9, 9, 9, 9, 9, 9,
+                                               9, 9, 9, 9, 9, 9, 9, 9, 9, 9});
+  EXPECT_EQ(run.trained, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(run.evaluated, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(run.kept, 2);
+  // An improvement resets the count: 2, 1, 6, 6, 6 stops at the fifth.
+  const ScriptedRun reset = RunScript(8, 1, 2, {2, 1, 6, 6, 6, 9, 9, 9});
+  EXPECT_EQ(reset.evaluated, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(reset.kept, 3);
+}
+
+TEST(EarlyStoppingTest, KeepsFirstSnapshotWhenNothingImproves) {
+  const ScriptedRun run = RunScript(12, 2, 3, std::vector<size_t>(12, 0));
+  EXPECT_EQ(run.evaluated, (std::vector<int>{2, 4, 6, 8}));
+  EXPECT_EQ(run.kept, 2);
+}
+
+TEST(EarlyStoppingTest, ReturnsTheBestSnapshot) {
+  // Hits@1 climbs to 0.8 at epoch 6, dips, and the run ends at max_epochs
+  // before patience runs out: the epoch-6 snapshot is returned.
+  const ScriptedRun run = RunScript(10, 2, 3, {0, 3, 0, 6, 0, 8, 0, 7, 0, 8});
+  EXPECT_EQ(run.evaluated, (std::vector<int>{2, 4, 6, 8, 10}));
+  EXPECT_EQ(run.kept, 6);
 }
 
 }  // namespace

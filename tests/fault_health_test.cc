@@ -120,6 +120,34 @@ TEST(HealthMonitorTest, EarlyFluctuationBelowFloorIsNotDivergence) {
   EXPECT_EQ(monitor.Observe(1e-5), health::Verdict::kHealthy);
 }
 
+TEST(HealthMonitorTest, EachLossKindHasItsOwnWindow) {
+  // BootEA's epochs: a limit-loss pair epoch (3 to 5.8) every epoch and a
+  // calibration epoch (0.2 to 0.46) after each evaluation. Judged against
+  // one shared window the pair losses would read as a 10x blowup over the
+  // calibration minimum.
+  health::HealthMonitor monitor;
+  for (int i = 0; i < 15; ++i) {
+    EXPECT_EQ(monitor.Observe(3.0 + 0.2 * i, "pair"),
+              health::Verdict::kHealthy)
+        << i;
+    if (i % 2 == 1) {
+      EXPECT_EQ(monitor.Observe(0.2 + 0.02 * i, "calibrate"),
+                health::Verdict::kHealthy)
+          << i;
+    }
+  }
+  EXPECT_EQ(monitor.worst(), health::Verdict::kHealthy);
+  EXPECT_EQ(monitor.observations(), 22u);
+  // A 10x jump within one kind still diverges ...
+  EXPECT_EQ(monitor.Observe(5.0, "calibrate"), health::Verdict::kDiverged);
+  EXPECT_EQ(monitor.Observe(60.0, "pair"), health::Verdict::kDiverged);
+  // ... and a non-finite loss of any kind is still flagged.
+  EXPECT_EQ(monitor.Observe(std::numeric_limits<double>::quiet_NaN(),
+                            "calibrate"),
+            health::Verdict::kNonFinite);
+  EXPECT_EQ(monitor.worst(), health::Verdict::kNonFinite);
+}
+
 TEST(HealthMonitorTest, TooFewObservationsNeverDiverge) {
   health::GuardConfig config;
   config.min_observations = 4;
@@ -151,20 +179,21 @@ TEST(HealthMonitorTest, WorstOrdersVerdictsBySeverity) {
 TEST(ScopedHealthMonitorTest, ReportLossReachesActiveMonitorAndNests) {
   EXPECT_EQ(health::ActiveMonitor(), nullptr);
   // Without a monitor, only the free finiteness check runs.
-  EXPECT_EQ(health::ReportLoss(1.0), health::Verdict::kHealthy);
-  EXPECT_EQ(health::ReportLoss(std::numeric_limits<double>::infinity()),
-            health::Verdict::kNonFinite);
+  EXPECT_EQ(health::ReportLoss(1.0, "pair"), health::Verdict::kHealthy);
+  EXPECT_EQ(
+      health::ReportLoss(std::numeric_limits<double>::infinity(), "pair"),
+      health::Verdict::kNonFinite);
 
   health::HealthMonitor outer;
   {
     health::ScopedHealthMonitor outer_scope(&outer);
     EXPECT_EQ(health::ActiveMonitor(), &outer);
-    health::ReportLoss(0.5);
+    health::ReportLoss(0.5, "pair");
     {
       health::HealthMonitor inner;
       health::ScopedHealthMonitor inner_scope(&inner);
       EXPECT_EQ(health::ActiveMonitor(), &inner);
-      health::ReportLoss(std::numeric_limits<double>::quiet_NaN());
+      health::ReportLoss(std::numeric_limits<double>::quiet_NaN(), "pair");
       EXPECT_EQ(inner.worst(), health::Verdict::kNonFinite);
     }
     // Inner verdicts do not leak into the outer monitor.

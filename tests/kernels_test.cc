@@ -10,9 +10,10 @@
 //  * the alignment pipeline stays bit-identical at 1 vs 8 threads, and the
 //    dense similarity matrix stays bit-identical to the streaming top-k,
 //    under whichever backend is active;
-//  * the fused TransE pair step equals the unfused one it replaced, and the
-//    approaches built on the translational models train to pinned
-//    embeddings.
+//  * the fused TransE pair step equals the unfused one it replaced, every
+//    registered approach trains to pinned embeddings (and the bootstrapping
+//    ones to pinned traces), and every triple model scores pinned values
+//    after seeded pair steps.
 // The ctest registration runs this binary twice — once under the startup
 // default and once with OPENEA_KERNELS=scalar — so both dispatch settings
 // are pinned.
@@ -827,28 +828,43 @@ TEST(TransEPairStepTest, FusedStepMatchesUnfusedBitForBit) {
   }
 }
 
-// FNV-1a digests of the final embeddings of approaches built on the
-// translational models, on a small seeded task, one per backend, taken at
-// two threads. Any change to a training float changes them.
+// FNV-1a digests of the final embeddings of every registered approach,
+// of the semi-supervised traces of the bootstrapping approaches and of
+// triple scores after seeded pair steps, on small seeded inputs, one per
+// backend, taken at two threads. Any change to a training float changes
+// them.
+void HashBytes(const void* data, size_t bytes, uint64_t& h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+}
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ULL;
+
 uint64_t HashModel(const core::AlignmentModel& model) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvBasis;
   for (const Matrix* m : {&model.emb1, &model.emb2}) {
     const uint64_t shape[2] = {m->rows(), m->cols()};
-    const auto* p = reinterpret_cast<const unsigned char*>(shape);
-    for (size_t i = 0; i < sizeof(shape); ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-    p = reinterpret_cast<const unsigned char*>(m->Data().data());
-    for (size_t i = 0; i < m->size() * sizeof(float); ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
+    HashBytes(shape, sizeof(shape), h);
+    HashBytes(m->Data().data(), m->size() * sizeof(float), h);
   }
   return h;
 }
 
-TEST(TrainPinTest, TranslationalApproachesTrainBitIdentically) {
+uint64_t HashTrace(const std::vector<core::IterationStat>& trace) {
+  uint64_t h = kFnvBasis;
+  for (const core::IterationStat& s : trace) {
+    HashBytes(&s.iteration, sizeof(s.iteration), h);
+    HashBytes(&s.precision, sizeof(s.precision), h);
+    HashBytes(&s.recall, sizeof(s.recall), h);
+    HashBytes(&s.f1, sizeof(s.f1), h);
+  }
+  return h;
+}
+
+TEST(TrainPinTest, RegisteredApproachesTrainBitIdentically) {
   datagen::SyntheticKgConfig kg_config;
   kg_config.num_entities = 300;
   kg_config.avg_degree = 6.0;
@@ -867,20 +883,52 @@ TEST(TrainPinTest, TranslationalApproachesTrainBitIdentically) {
   task.test = folds[0].test;
   task.dictionary = &pair.dictionary;
 
-  // {approach, scalar pin, avx2 pin}. MultiKE runs TransE's margin loss,
-  // BootEA its limit loss, MTransE its positive-only step; the MTransE
-  // chassis runs TransH, TransR and TransD pair steps.
+  // {approach, scalar pin, avx2 pin}, one row per registered approach.
+  // MultiKE runs TransE's margin loss, BootEA its limit loss, MTransE its
+  // positive-only step; the MTransE chassis runs every other triple model.
   const struct {
     const char* name;
     uint64_t pin[2];
   } kPins[] = {
-      {"MultiKE", {0xf82c08106c7339e7ULL, 0x57db6388cb0b6a26ULL}},
-      {"BootEA", {0x9ad403298b0131ddULL, 0xdc0067dcfb8df578ULL}},
       {"MTransE", {0xde84254b7e6a27a4ULL, 0xc922365114b86608ULL}},
+      {"IPTransE", {0x5ea7ff37f2f23a71ULL, 0x676f1af9644947cULL}},
+      {"JAPE", {0x6b2b64143db5e7e8ULL, 0xbeecff932aeb91cdULL}},
+      {"KDCoE", {0x146a11f5da654ae2ULL, 0x98e93c1475547edULL}},
+      {"BootEA", {0x9ad403298b0131ddULL, 0xdc0067dcfb8df578ULL}},
+      {"GCNAlign", {0xbe09350723edeb34ULL, 0x7ddb877c1683f945ULL}},
+      {"AttrE", {0x8d0916e32fa90abaULL, 0x89b6f233e699cd6dULL}},
+      {"IMUSE", {0xbc9525347432b029ULL, 0x2687f07afa84431ULL}},
+      {"SEA", {0x3a8708f676a51c46ULL, 0xb93fca96b582bf89ULL}},
+      {"RSN4EA", {0x87cfa4189276cc76ULL, 0xcacaa293fa299b46ULL}},
+      {"MultiKE", {0xf82c08106c7339e7ULL, 0x57db6388cb0b6a26ULL}},
+      {"RDGCN", {0xea4ef926788078d4ULL, 0x3db49cc0cec6c9a3ULL}},
+      {"AliNet", {0xb0969cc72665fce1ULL, 0xedb5c4a4128d6dbULL}},
+      {"UnsupervisedEA", {0x7a0d77d52130df7aULL, 0xf75790ed13b96aa2ULL}},
       {"MTransE-TransH", {0x20374d47c2c199f7ULL, 0xa1f63461c507423dULL}},
       {"MTransE-TransR", {0xa33d6024ccc47077ULL, 0xc5c858049bd2146aULL}},
       {"MTransE-TransD", {0x35f425abf48e25beULL, 0xd8184282f4279424ULL}},
+      {"MTransE-HolE", {0x5b7b268f3dfd7f9aULL, 0x3061cdf0319d5b7bULL}},
+      {"MTransE-SimplE", {0x280b494e808dcd5eULL, 0x6834a93c77a55488ULL}},
+      {"MTransE-ComplEx", {0x32465970fa557571ULL, 0xce8639e338afbbc8ULL}},
+      {"MTransE-RotatE", {0xae4abc6175a075e0ULL, 0x1b0295b8906b5ae2ULL}},
+      {"MTransE-DistMult", {0xb2fe4aa20967e2beULL, 0x7c7e675ac475707bULL}},
+      {"MTransE-ProjE", {0xd6604f861329e2b4ULL, 0x131a560cc569cb59ULL}},
+      {"MTransE-ConvE", {0xd10e8ac5c0700ae3ULL, 0xfa0bf340200579e5ULL}},
   };
+  // The bootstrapping approaches also pin their semi-supervised trace: it
+  // records what each evaluation proposed.
+  const struct {
+    const char* name;
+    uint64_t pin[2];
+  } kTracePins[] = {
+      {"IPTransE", {0x27a55a38a1eb875bULL, 0x27a55a38a1eb875bULL}},
+      {"KDCoE", {0xf6a6242cbbb500b1ULL, 0xf6a6242cbbb500b1ULL}},
+      {"BootEA", {0xbdecab70a8531f85ULL, 0xbdecab70a8531f85ULL}},
+  };
+  std::vector<std::string> pinned;
+  for (const auto& pin : kPins) pinned.push_back(pin.name);
+  EXPECT_EQ(pinned, core::RegisteredApproachNames());
+
   // Run at one thread against pins taken at two threads, where the epoch
   // trainers already drew their negatives shard by shard from forked streams:
   // this asserts that one thread trains the same model as two.
@@ -892,11 +940,84 @@ TEST(TrainPinTest, TranslationalApproachesTrainBitIdentically) {
     config.max_epochs = 12;
     config.eval_every = 4;
     config.seed = 5;
-    const uint64_t h =
-        HashModel(core::CreateApproachOrDie(pin.name, config)->Train(task));
+    const core::AlignmentModel model =
+        core::CreateApproachOrDie(pin.name, config)->Train(task);
+    const uint64_t h = HashModel(model);
     EXPECT_EQ(h, pin.pin[backend])
         << pin.name << " backend " << BackendName(ActiveBackend()) << ": 0x"
         << std::hex << h << "ULL";
+    for (const auto& trace_pin : kTracePins) {
+      if (std::string(trace_pin.name) != pin.name) continue;
+      EXPECT_FALSE(model.semi_supervised_trace.empty()) << pin.name;
+      const uint64_t t = HashTrace(model.semi_supervised_trace);
+      EXPECT_EQ(t, trace_pin.pin[backend])
+          << pin.name << " trace backend " << BackendName(ActiveBackend())
+          << ": 0x" << std::hex << t << "ULL";
+    }
+  }
+}
+
+TEST(TrainPinTest, TripleModelsScoreBitIdentically) {
+  // {kind, scalar pin, avx2 pin} over the pair losses and the scores of a
+  // fixed set of triples after seeded pair steps.
+  const struct {
+    embedding::TripleModelKind kind;
+    uint64_t pin[2];
+  } kPins[] = {
+      {embedding::TripleModelKind::kTransE,
+       {0x32493f0df596e154ULL, 0xe0b6ef3a026c5c25ULL}},
+      {embedding::TripleModelKind::kTransH,
+       {0x1cc7edecbbfeee4eULL, 0x4ac88e0a82263f8fULL}},
+      {embedding::TripleModelKind::kTransR,
+       {0xdda23d95b1b76cdULL, 0x12a50c650718a861ULL}},
+      {embedding::TripleModelKind::kTransD,
+       {0x8ff636981f0f80b5ULL, 0xea986110e0bbddfdULL}},
+      {embedding::TripleModelKind::kHolE,
+       {0x1fc5db1f5f289b7fULL, 0x7cb0bdb77375d71bULL}},
+      {embedding::TripleModelKind::kSimplE,
+       {0x8828fcc2e85b500cULL, 0xe4409fc60ff3b802ULL}},
+      {embedding::TripleModelKind::kComplEx,
+       {0xc851a60e35d47282ULL, 0x27789370dd605b45ULL}},
+      {embedding::TripleModelKind::kRotatE,
+       {0xfd76774af48f9c25ULL, 0x7f2ee162c7cbf0b7ULL}},
+      {embedding::TripleModelKind::kDistMult,
+       {0x1d9a7f1d31eb5c74ULL, 0xa2b91994bccdf62dULL}},
+      {embedding::TripleModelKind::kProjE,
+       {0x2ca0310b832f943aULL, 0xd3f7844fb434ab45ULL}},
+      {embedding::TripleModelKind::kConvE,
+       {0x7b7fb21aedcc58bcULL, 0xf0bfb7f8518d976cULL}},
+  };
+  constexpr size_t kEntities = 40;
+  constexpr size_t kRelations = 6;
+  const int backend = ActiveBackend() == Backend::kAvx2 ? 1 : 0;
+  for (const auto& pin : kPins) {
+    embedding::TripleModelOptions options;
+    options.dim = 24;
+    Rng init(11);
+    auto model = embedding::CreateTripleModel(pin.kind, kEntities, kRelations,
+                                              options, init);
+    Rng draw(13);
+    auto triple = [&] {
+      return kg::Triple{
+          static_cast<kg::EntityId>(draw.NextBounded(kEntities)),
+          static_cast<kg::RelationId>(draw.NextBounded(kRelations)),
+          static_cast<kg::EntityId>(draw.NextBounded(kEntities))};
+    };
+    uint64_t h = kFnvBasis;
+    for (int step = 0; step < 300; ++step) {
+      const kg::Triple pos = triple();
+      kg::Triple neg = pos;
+      neg.tail = static_cast<kg::EntityId>(draw.NextBounded(kEntities));
+      const uint32_t loss = Bits(model->TrainOnPair(pos, neg));
+      HashBytes(&loss, sizeof(loss), h);
+    }
+    for (int i = 0; i < 100; ++i) {
+      const uint32_t score = Bits(model->ScoreTriple(triple()));
+      HashBytes(&score, sizeof(score), h);
+    }
+    EXPECT_EQ(h, pin.pin[backend])
+        << embedding::TripleModelKindName(pin.kind) << " backend "
+        << BackendName(ActiveBackend()) << ": 0x" << std::hex << h << "ULL";
   }
 }
 
