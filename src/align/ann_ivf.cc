@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -39,6 +40,36 @@ class RowReader {
   math::RowBanks::Bank bank_;
 };
 
+/// A query's top-k over the probed lists. Packed ids ascend within a list
+/// but not across lists, so a cell that ties the k-th value may still win
+/// on a lower id: the bound admits ties. It is nextafter(k-th, -inf), and
+/// for every non-NaN float v, v > nextafter(kth, -inf) exactly when
+/// v >= kth. While the k-th value is -inf that bound would reject the -inf
+/// ties, so it stays open. TopKInsert then breaks the ties.
+struct ListSelection {
+  TopKEntry* ents = nullptr;
+  size_t count = 0;
+  size_t k = 0;
+  const int* ids = nullptr;  // packed_ids_ of the tile's first cell.
+  math::kernels::ScanBound bound;
+};
+
+void OfferToList(void* ctx, float v, size_t pos) {
+  ListSelection& sel = *static_cast<ListSelection*>(ctx);
+  detail::TopKInsert(sel.ents, sel.count, sel.k, v, sel.ids[pos]);
+  if (sel.count < sel.k) return;
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  const float kth = sel.ents[sel.k - 1].value;
+  if (kth != kNegInf) sel.bound = {std::nextafter(kth, kNegInf), false};
+}
+
+/// Per-thread buffers of the probe, grown on demand and kept across calls:
+/// the cells of one scan tile and the probed centroids.
+struct ProbeScratch {
+  std::vector<float> cells;
+  std::vector<TopKEntry> probes;
+};
+
 class AnnIvfSource final : public CandidateSource {
  public:
   explicit AnnIvfSource(const CandidateSourceConfig& config)
@@ -56,80 +87,25 @@ class AnnIvfSource final : public CandidateSource {
     if (queries.rows() == 0 || num_lists_ == 0) return result;
 
     telemetry::ScopedSpan span("ann_ivf_topk");
-    const size_t dim = this->dim();
-    const size_t nprobe = std::min(config_.ivf_nprobe, num_lists_);
+    const math::RowBanks packed = packed_table_ != nullptr
+                                      ? math::RowBanks(*packed_table_)
+                                      : math::RowBanks(packed_);
     const std::vector<float> query_norms =
         config_.metric == DistanceMetric::kCosine
             ? detail::RowNorms(queries).value()
             : std::vector<float>();
-    const math::RowBanks packed = packed_table_ != nullptr
-                                      ? math::RowBanks(*packed_table_)
-                                      : math::RowBanks(packed_);
     std::atomic<uint64_t> scanned{0};
     std::atomic<uint64_t> nan_cells{0};
     ParallelFor(0, queries.rows(), kQueryGrain, [&](size_t begin, size_t end) {
-      std::vector<float> centroid_sims(num_lists_);
-      std::vector<TopKEntry> probes(nprobe);
-      std::vector<TopKEntry> heap(std::max<size_t>(k, 1));
-      std::vector<float> cell_buf;
       uint64_t local_scanned = 0;
       uint64_t local_nan = 0;
       for (size_t i = begin; i < end; ++i) {
-        const auto q = queries.Row(i);
-        const float nq = query_norms.empty() ? 0.0f : query_norms[i];
-        // Rank the coarse quantizer: one batched call over all centroids,
-        // probe selection under the shared total order.
-        detail::MetricRowBlock(
-            config_.metric, q.data(), nq, centroids_.Row(0).data(), dim,
-            centroid_norms_.empty() ? nullptr : centroid_norms_.data(),
-            centroid_sims.data(), num_lists_, dim);
-        size_t probe_count = 0;
-        for (size_t c = 0; c < num_lists_; ++c) {
-          if (std::isnan(centroid_sims[c])) continue;
-          detail::TopKInsert(probes.data(), probe_count, nprobe,
-                             centroid_sims[c], static_cast<int>(c));
-        }
-        size_t count = 0;
-        for (size_t p = 0; p < probe_count; ++p) {
-          const size_t list = static_cast<size_t>(probes[p].index);
-          const size_t hi = list_offsets_[list + 1];
-          local_scanned += hi - list_offsets_[list];
-          // Scan the list's packed slots bank by bank: a list of the
-          // spilled layout may straddle a bank boundary. Cell values are
-          // independent of the batching, so the split does not change them.
-          for (size_t pos = list_offsets_[list]; pos < hi;) {
-            auto bank = packed.Lease(packed.BankOfRow(pos));
-            OPENEA_CHECK(bank.ok()) << bank.status().ToString();
-            const size_t chunk_end =
-                std::min(hi, bank->first_row() + bank->rows());
-            cell_buf.resize(chunk_end - pos);
-            detail::MetricRowBlock(
-                config_.metric, q.data(), nq, bank->RowValues(pos),
-                bank->stride(),
-                packed_norms_.empty() ? nullptr : packed_norms_.data() + pos,
-                cell_buf.data(), chunk_end - pos, dim);
-            for (size_t s = pos; s < chunk_end; ++s) {
-              const float v = cell_buf[s - pos];
-              if (std::isnan(v)) {
-                ++local_nan;
-                continue;
-              }
-              if (k > 0) {
-                detail::TopKInsert(heap.data(), count, k, v, packed_ids_[s]);
-              }
-            }
-            pos = chunk_end;
-          }
-        }
-        if (k > 0) {
-          TopKEntry* out = result.entries.data() + i * k;
-          for (size_t t = 0; t < count; ++t) out[t] = heap[t];
-        }
+        Probe(packed, queries.Row(i).data(),
+              query_norms.empty() ? 0.0f : query_norms[i], k,
+              result.entries.data() + i * k, &local_scanned, &local_nan);
       }
       scanned.fetch_add(local_scanned, std::memory_order_relaxed);
-      if (local_nan > 0) {
-        nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
-      }
+      nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
     });
     result.nan_cells = nan_cells.load(std::memory_order_relaxed);
     telemetry::IncrCounter("cand/ann_ivf/queries", queries.rows());
@@ -144,6 +120,73 @@ class AnnIvfSource final : public CandidateSource {
   }
 
  private:
+  /// Ranks the centroids for query `q` (norm `nq`, cosine only), then
+  /// scans the nprobe nearest lists into out[0..k), which holds padding on
+  /// entry. Both scans are MetricRowScan tiles whose epilogue offers
+  /// admitted cells to a selection; NaN cells of the lists are added to
+  /// `*nan_cells`, their cell count to `*scanned`.
+  void Probe(const math::RowBanks& packed, const float* q, float nq,
+             size_t k, TopKEntry* out, uint64_t* scanned,
+             uint64_t* nan_cells) const {
+    thread_local ProbeScratch scratch;
+    const size_t dim = this->dim();
+    const size_t nprobe = std::min(config_.ivf_nprobe, num_lists_);
+    if (scratch.cells.size() < num_lists_) scratch.cells.resize(num_lists_);
+    if (scratch.probes.size() < nprobe) scratch.probes.resize(nprobe);
+
+    // The nprobe best centroids. Centroid ids ascend within the one tile,
+    // so the top-k scan's strict bound is exact here.
+    size_t probe_count = 0;
+    detail::RowSelection probes;
+    probes.ents = scratch.probes.data();
+    probes.count = &probe_count;
+    probes.k = nprobe;
+    math::kernels::ScanEpilogue scan;
+    scan.bound = &probes.bound;
+    scan.offer = detail::OfferToRow;
+    scan.ctx = &probes;
+    math::kernels::ScanCounts centroid_counts;  // NaN centroids: skipped.
+    detail::MetricRowScan(
+        config_.metric, q, nq, centroids_.Row(0).data(), dim,
+        centroid_norms_.empty() ? nullptr : centroid_norms_.data(),
+        scratch.cells.data(), num_lists_, dim, scan, &centroid_counts);
+
+    ListSelection sel;
+    sel.ents = out;
+    sel.k = k;
+    scan = {};
+    if (k > 0) {
+      scan.bound = &sel.bound;
+      scan.offer = OfferToList;
+      scan.ctx = &sel;
+    }
+    math::kernels::ScanCounts counts;
+    for (size_t p = 0; p < probe_count; ++p) {
+      const size_t list = static_cast<size_t>(scratch.probes[p].index);
+      const size_t hi = list_offsets_[list + 1];
+      *scanned += hi - list_offsets_[list];
+      // Scan the list's packed slots bank by bank: a list of the spilled
+      // layout may straddle a bank boundary. Cell values are independent
+      // of the batching, so the split does not change them.
+      for (size_t pos = list_offsets_[list]; pos < hi;) {
+        auto bank = packed.Lease(packed.BankOfRow(pos));
+        OPENEA_CHECK(bank.ok()) << bank.status().ToString();
+        const size_t chunk_end =
+            std::min(hi, bank->first_row() + bank->rows());
+        if (scratch.cells.size() < chunk_end - pos) {
+          scratch.cells.resize(chunk_end - pos);
+        }
+        sel.ids = packed_ids_.data() + pos;
+        detail::MetricRowScan(
+            config_.metric, q, nq, bank->RowValues(pos), bank->stride(),
+            packed_norms_.empty() ? nullptr : packed_norms_.data() + pos,
+            scratch.cells.data(), chunk_end - pos, dim, scan, &counts);
+        pos = chunk_end;
+      }
+    }
+    *nan_cells += counts.nan;
+  }
+
   /// Seeded k-means over the indexed banks, then the packed list layout.
   /// The Lloyd passes stream the banks in row order (one bank in RAM), so a
   /// table and the matrix it was written from build the same index. The

@@ -35,28 +35,9 @@ inline float CslsAdjust(float sim, float psi_src, float psi_tgt) {
 /// Top-k selection order and bounded insert live in topk.h (detail::) so
 /// the candidate-source implementations select with exactly the same total
 /// order as this engine.
+using detail::OfferToRow;
+using detail::RowSelection;
 using detail::TopKInsert;
-
-/// The top-k list of the row being scanned, reached from the scan
-/// epilogue's `offer` hook.
-struct RowSelection {
-  TopKEntry* ents = nullptr;
-  size_t* count = nullptr;
-  size_t k = 0;
-  size_t first_col = 0;  // Column of the current tile's first cell.
-  math::kernels::ScanBound bound;
-};
-
-/// The epilogue offers a cell only while the list is short or when the
-/// cell is strictly greater than the k-th kept value. That is exactly when
-/// TopKInsert keeps it: a scan visits columns in ascending order, so a cell
-/// that ties the k-th value always has the larger column and loses.
-void OfferToRow(void* ctx, float v, size_t pos) {
-  RowSelection& sel = *static_cast<RowSelection*>(ctx);
-  TopKInsert(sel.ents, *sel.count, sel.k, v,
-             static_cast<int>(sel.first_col + pos));
-  if (*sel.count == sel.k) sel.bound = {sel.ents[sel.k - 1].value, false};
-}
 
 /// Scans one source row `a` (norm `na`) against `cols` target rows starting
 /// at `b`, `ldb` floats apart, which are columns first_col.. of the whole

@@ -145,6 +145,27 @@ inline void TopKInsert(TopKEntry* ents, size_t& count, size_t k, float v,
   ++count;
 }
 
+/// The top-k list of the row being scanned, reached from the scan
+/// epilogue's `offer` hook.
+struct RowSelection {
+  TopKEntry* ents = nullptr;
+  size_t* count = nullptr;
+  size_t k = 0;
+  size_t first_col = 0;  // Column of the current tile's first cell.
+  math::kernels::ScanBound bound;
+};
+
+/// The epilogue offers a cell only while the list is short or when the
+/// cell is strictly greater than the k-th kept value. That is exactly when
+/// TopKInsert keeps it as long as a row's columns are scanned in ascending
+/// order: a cell that ties the k-th value has the larger column and loses.
+inline void OfferToRow(void* ctx, float v, size_t pos) {
+  RowSelection& sel = *static_cast<RowSelection*>(ctx);
+  TopKInsert(sel.ents, *sel.count, sel.k, v,
+             static_cast<int>(sel.first_col + pos));
+  if (*sel.count == sel.k) sel.bound = {sel.ents[sel.k - 1].value, false};
+}
+
 }  // namespace detail
 
 }  // namespace openea::align

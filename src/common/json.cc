@@ -1,6 +1,7 @@
 #include "src/common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,9 +9,8 @@
 #include <sstream>
 
 namespace openea::json {
-namespace {
 
-void AppendEscaped(const std::string& s, std::string& out) {
+void AppendString(std::string_view s, std::string& out) {
   out.push_back('"');
   for (char c : s) {
     switch (c) {
@@ -38,15 +38,18 @@ void AppendNumber(double d, std::string& out) {
     out += "null";
     return;
   }
-  if (d == static_cast<double>(static_cast<long long>(d)) &&
-      std::fabs(d) < 1e15) {
-    out += std::to_string(static_cast<long long>(d));
-    return;
-  }
+  // Integral values below 1e15 print as integers. The range test comes
+  // first: the cast of a larger value would overflow.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  const std::to_chars_result written =
+      std::fabs(d) < 1e15 && d == static_cast<double>(static_cast<long long>(d))
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+  out.append(buf, written.ptr);
 }
+
+namespace {
 
 void DumpTo(const Value& v, int indent, int depth, std::string& out) {
   const std::string pad =
@@ -60,7 +63,7 @@ void DumpTo(const Value& v, int indent, int depth, std::string& out) {
     case Value::Kind::kNull: out += "null"; break;
     case Value::Kind::kBool: out += v.bool_value() ? "true" : "false"; break;
     case Value::Kind::kNumber: AppendNumber(v.number(), out); break;
-    case Value::Kind::kString: AppendEscaped(v.string_value(), out); break;
+    case Value::Kind::kString: AppendString(v.string_value(), out); break;
     case Value::Kind::kObject: {
       if (v.object().empty()) {
         out += "{}";
@@ -73,7 +76,7 @@ void DumpTo(const Value& v, int indent, int depth, std::string& out) {
         first = false;
         out += nl;
         out += pad;
-        AppendEscaped(key, out);
+        AppendString(key, out);
         out += indent > 0 ? ": " : ":";
         DumpTo(member, indent, depth + 1, out);
       }
@@ -240,10 +243,28 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Err("expected a JSON value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return Err("malformed number");
+    // The number strtod reads from the token, without copying the token:
+    // from_chars takes the same decimal syntax except a leading '+', which
+    // strtod accepts before an unsigned number only.
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    const char* digits = *first == '+' ? first + 1 : first;
+    if (digits != first && digits != last &&
+        (*digits == '+' || *digits == '-')) {
+      return Err("malformed number");
+    }
+    double d = 0.0;
+    const std::from_chars_result read = std::from_chars(digits, last, d);
+    if (read.ptr != last ||
+        (read.ec != std::errc() &&
+         read.ec != std::errc::result_out_of_range)) {
+      return Err("malformed number");
+    }
+    if (read.ec == std::errc::result_out_of_range) {
+      // strtod's answer out of range: +-inf on overflow, the rounded
+      // denormal or 0 on underflow.
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     *out = Value(d);
     return Status::OK();
   }

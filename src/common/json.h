@@ -66,6 +66,16 @@ class Value {
   Array array_;
 };
 
+/// Appends the JSON text of `d` to `out`, as Value::Dump writes a number:
+/// non-finite values as null, integral values below 1e15 as integers, any
+/// other value as printf's "%.17g" would (17 significant digits, enough to
+/// read back the same double).
+void AppendNumber(double d, std::string& out);
+
+/// Appends `s` to `out` as a quoted JSON string, escaping '"', '\\' and
+/// control characters.
+void AppendString(std::string_view s, std::string& out);
+
 /// Parses a JSON document. Accepts exactly one top-level value (trailing
 /// whitespace allowed) and rejects everything else with InvalidArgument.
 Status Parse(std::string_view text, Value* out);

@@ -1,6 +1,7 @@
 #include "src/embedding/semantic_matching.h"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "src/math/vec.h"
@@ -49,6 +50,21 @@ float DistMultModel::ScoreTriple(const kg::Triple& t) const {
 // HolE
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// sum_i a_i b_{(s+i) mod d} over i = 0..d-1, in that order, for s < d:
+/// the terms with s + i < d, then the wrapped ones.
+float Correlation(std::span<const float> a, std::span<const float> b,
+                  size_t s) {
+  const size_t d = a.size();
+  float sum = 0.0f;
+  for (size_t i = 0; i < d - s; ++i) sum += a[i] * b[s + i];
+  for (size_t i = d - s; i < d; ++i) sum += a[i] * b[s + i - d];
+  return sum;
+}
+
+}  // namespace
+
 HolEModel::HolEModel(size_t num_entities, size_t num_relations,
                      const TripleModelOptions& options, Rng& rng)
     : LogisticTripleModel(num_entities, options, rng),
@@ -60,13 +76,11 @@ float HolEModel::Step(const kg::Triple& t, float label) {
   const auto r = relations_.Row(t.relation);
   const auto tl = entities_.Row(t.tail);
 
-  // Circular correlation c_k = sum_i h_i t_{(k+i) mod d}.
+  // Circular correlation c_k = sum_i h_i t_{(k+i) mod d}. Each loop over
+  // a circular index runs in two parts split at the wrap point, in the
+  // same term order as one loop with a modulo.
   std::vector<float> corr(d, 0.0f);
-  for (size_t k = 0; k < d; ++k) {
-    float sum = 0.0f;
-    for (size_t i = 0; i < d; ++i) sum += h[i] * tl[(k + i) % d];
-    corr[k] = sum;
-  }
+  for (size_t k = 0; k < d; ++k) corr[k] = Correlation(h, tl, k);
   const float score = math::Dot(r, corr);
   const float g = math::LogisticGradScale(score, label);
   const float lr = options_.learning_rate;
@@ -76,16 +90,13 @@ float HolEModel::Step(const kg::Triple& t, float label) {
   for (size_t k = 0; k < d; ++k) grad[k] = g * corr[k];
   relations_.ApplyGradient(t.relation, grad, lr);
   // grad_h_i = g * sum_k r_k t_{(k+i) mod d}.
-  for (size_t i = 0; i < d; ++i) {
-    float sum = 0.0f;
-    for (size_t k = 0; k < d; ++k) sum += r[k] * tl[(k + i) % d];
-    grad[i] = g * sum;
-  }
+  for (size_t i = 0; i < d; ++i) grad[i] = g * Correlation(r, tl, i);
   entities_.ApplyGradient(t.head, grad, lr);
   // grad_t_j = g * sum_k r_k h_{(j-k) mod d}.
   for (size_t j = 0; j < d; ++j) {
     float sum = 0.0f;
-    for (size_t k = 0; k < d; ++k) sum += r[k] * h[(j + d - k % d) % d];
+    for (size_t k = 0; k <= j; ++k) sum += r[k] * h[j - k];
+    for (size_t k = j + 1; k < d; ++k) sum += r[k] * h[j + d - k];
     grad[j] = g * sum;
   }
   entities_.ApplyGradient(t.tail, grad, lr);
@@ -98,11 +109,7 @@ float HolEModel::ScoreTriple(const kg::Triple& t) const {
   const auto r = relations_.Row(t.relation);
   const auto tl = entities_.Row(t.tail);
   float score = 0.0f;
-  for (size_t k = 0; k < d; ++k) {
-    float sum = 0.0f;
-    for (size_t i = 0; i < d; ++i) sum += h[i] * tl[(k + i) % d];
-    score += r[k] * sum;
-  }
+  for (size_t k = 0; k < d; ++k) score += r[k] * Correlation(h, tl, k);
   return score;
 }
 

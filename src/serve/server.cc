@@ -270,6 +270,7 @@ StatusOr<AlignServer::SessionStats> AlignServer::Serve(int in_fd,
   std::vector<float> batch_rows;  // Flattened query rows of `pending`.
   const size_t dim = source_->dim();
 
+  std::string response;  // One topk response line, reused.
   auto respond = [&](const json::Value& value) -> Status {
     return WriteAll(out_fd, value.Dump(/*indent=*/0) + "\n");
   };
@@ -329,29 +330,11 @@ StatusOr<AlignServer::SessionStats> AlignServer::Serve(int in_fd,
                                    req.watch.ElapsedMillis());
         continue;
       }
-      json::Value::Array ids, scores;
-      ids.reserve(req.rows);
-      scores.reserve(req.rows);
-      for (size_t r = 0; r < req.rows; ++r) {
-        const auto row = topk.Row(req.row_begin + r);
-        json::Value::Array row_ids, row_scores;
-        for (size_t t = 0; t < req.k; ++t) {
-          row_ids.push_back(json::Value(row[t].index));
-          // -inf padding is not representable in JSON; pad scores with 0
-          // (the -1 id already marks the slot as empty).
-          row_scores.push_back(json::Value(
-              row[t].index >= 0 ? static_cast<double>(row[t].value) : 0.0));
-        }
-        ids.push_back(json::Value(std::move(row_ids)));
-        scores.push_back(json::Value(std::move(row_scores)));
-      }
-      json::Value::Object obj;
-      obj["id"] = req.id;
-      obj["ok"] = json::Value(true);
-      obj["req"] = json::Value(req.request_id);
-      obj["ids"] = json::Value(std::move(ids));
-      obj["scores"] = json::Value(std::move(scores));
-      const Status written = respond(json::Value(std::move(obj)));
+      response.clear();
+      AppendTopKResponse(req.id, req.request_id, topk, req.row_begin,
+                         req.rows, req.k, response);
+      response.push_back('\n');
+      const Status written = WriteAll(out_fd, response);
       if (!written.ok()) return written;
       const double latency_ms = req.watch.ElapsedMillis();
       telemetry::ObserveWindowed("serve/latency_ms", latency_ms);
@@ -565,6 +548,40 @@ StatusOr<AlignServer::SessionStats> AlignServer::Serve(int in_fd,
                           json::Value("r-" + std::to_string(request_seq_)));
   }
   return SessionStats{answered, shutdown};
+}
+
+void AppendTopKResponse(const json::Value& id, std::string_view request_id,
+                        const align::TopKResult& topk, size_t row_begin,
+                        size_t rows, size_t k, std::string& out) {
+  // One [[..],..] array per field, row by row.
+  auto append_rows = [&](auto&& append_entry) {
+    out.push_back('[');
+    for (size_t r = 0; r < rows; ++r) {
+      if (r > 0) out.push_back(',');
+      out.push_back('[');
+      const auto row = topk.Row(row_begin + r);
+      for (size_t t = 0; t < k; ++t) {
+        if (t > 0) out.push_back(',');
+        append_entry(row[t]);
+      }
+      out.push_back(']');
+    }
+    out.push_back(']');
+  };
+  out += "{\"id\":";
+  out += id.Dump(/*indent=*/0);
+  out += ",\"ids\":";
+  append_rows([&](const align::TopKEntry& e) {
+    json::AppendNumber(e.index, out);
+  });
+  out += ",\"ok\":true,\"req\":";
+  json::AppendString(request_id, out);
+  out += ",\"scores\":";
+  append_rows([&](const align::TopKEntry& e) {
+    json::AppendNumber(e.index >= 0 ? static_cast<double>(e.value) : 0.0,
+                       out);
+  });
+  out.push_back('}');
 }
 
 Status HandleHttpClient(int fd) {

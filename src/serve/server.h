@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/align/candidate_source.h"
 #include "src/common/checkpoint.h"
@@ -174,6 +175,17 @@ class AlignServer {
   std::unique_ptr<align::CandidateSource> source_;
   uint64_t request_seq_ = 0;
 };
+
+/// Appends one topk response line (no newline) to `out`: for each of the
+/// `rows` result rows from `row_begin` of `topk`, its first `k` entries.
+/// The bytes are the compact Dump of the object {"id", "ids", "ok", "req",
+/// "scores"}, written straight from the result without building the
+/// object: keys in the object's sorted order, `id` through Value::Dump,
+/// ids and scores through json::AppendNumber. A -1 (padding) id gets the
+/// score 0, as JSON has no -inf.
+void AppendTopKResponse(const json::Value& id, std::string_view request_id,
+                        const align::TopKResult& topk, size_t row_begin,
+                        size_t rows, size_t k, std::string& out);
 
 /// Answers one already-accepted HTTP connection on the --listen socket:
 /// `GET /metrics` gets the Prometheus exposition of the current telemetry

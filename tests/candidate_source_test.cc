@@ -8,6 +8,8 @@
 //  * LshBlocker::Candidates returns a sorted, deduplicated id list (the
 //    determinism regression this PR fixed)
 //  * config validation rejects out-of-range values with field-naming errors
+//  * the IVF probe admits cells that tie the k-th kept value (finite, -inf
+//    or +inf), so a lower id from a later list wins as in a brute force
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/align/blocking.h"
@@ -27,6 +32,7 @@
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
 #include "src/eval/metrics.h"
+#include "src/math/vec.h"
 
 namespace openea::align {
 namespace {
@@ -326,6 +332,191 @@ TEST(AnnIvfSourceTest, AllNanTargetsYieldAllPadding) {
   for (const auto& entry : result.entries) {
     EXPECT_EQ(entry.index, -1);
     EXPECT_TRUE(std::isinf(entry.value) && entry.value < 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The probe's admission bound. Packed ids ascend within an inverted list but
+// not across lists, so a cell that ties the k-th kept value may arrive later
+// with a lower id and must still win. Each fixture probes every list and
+// checks the index against a brute-force top-k over all rows (the rows of
+// the probed lists), batched (several chunks) and one row at a time (one
+// chunk).
+// ---------------------------------------------------------------------------
+
+/// Every row's cell for query `q` under the shared cell kernel, non-NaN
+/// cells ranked by TopKBetter, padded to k.
+std::vector<TopKEntry> BruteForceTopK(const math::Matrix& tgt,
+                                      std::span<const float> q,
+                                      DistanceMetric metric, size_t k) {
+  const float nq = math::L2Norm(q);
+  std::vector<TopKEntry> cells;
+  for (size_t j = 0; j < tgt.rows(); ++j) {
+    const float v =
+        detail::MetricCell(metric, q.data(), nq, tgt.Row(j).data(),
+                           math::L2Norm(tgt.Row(j)), q.size());
+    if (!std::isnan(v)) cells.push_back({v, static_cast<int>(j)});
+  }
+  std::sort(cells.begin(), cells.end(),
+            [](const TopKEntry& a, const TopKEntry& b) {
+              return detail::TopKBetter(a.value, a.index, b);
+            });
+  cells.resize(k, TopKEntry{});
+  return cells;
+}
+
+/// Indexes `tgt` under `metric` with `lists` lists, all probed, and checks
+/// the top-k of `query` against the brute force: in one call of twelve
+/// copies of the query and in a call of the one row.
+void ExpectProbeMatchesBruteForce(const math::Matrix& tgt,
+                                  std::span<const float> query,
+                                  DistanceMetric metric, size_t lists,
+                                  size_t k) {
+  CandidateSourceConfig config;
+  config.kind = CandidateSourceKind::kAnnIvf;
+  config.metric = metric;
+  config.ivf_lists = lists;
+  config.ivf_nprobe = lists;
+  auto source = CreateCandidateSourceOrDie(config);
+  ASSERT_TRUE(source->Index(tgt).ok());
+  const std::vector<TopKEntry> want = BruteForceTopK(tgt, query, metric, k);
+
+  math::Matrix batch(12, query.size());
+  for (size_t i = 0; i < batch.rows(); ++i) {
+    std::copy(query.begin(), query.end(), batch.Row(i).begin());
+  }
+  const TopKResult batched = source->TopK(batch, k);
+  math::Matrix one(1, query.size());
+  std::copy(query.begin(), query.end(), one.Row(0).begin());
+  const TopKResult single = source->TopK(one, k);
+  for (const auto& [result, row] :
+       {std::pair{&batched, size_t{11}}, std::pair{&single, size_t{0}}}) {
+    const auto got = result->Row(row);
+    for (size_t t = 0; t < k; ++t) {
+      EXPECT_EQ(got[t].index, want[t].index) << "rank " << t;
+      EXPECT_EQ(std::bit_cast<uint32_t>(got[t].value),
+                std::bit_cast<uint32_t>(want[t].value))
+          << "rank " << t;
+    }
+  }
+}
+
+/// `rows` in a seeded random order, so the ids of a cluster are scattered.
+math::Matrix ShuffledRows(const std::vector<std::vector<float>>& rows,
+                          uint64_t seed) {
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  Rng rng(seed);
+  rng.Shuffle(order);
+  math::Matrix out(rows.size(), rows[0].size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::copy(rows[order[i]].begin(), rows[order[i]].end(),
+              out.Row(i).begin());
+  }
+  return out;
+}
+
+TEST(AnnIvfProbeBoundTest, EqualCellsInDifferentListsBreakTiesByLowerId) {
+  // Fourteen clusters around the directions e0 +- e_m (m = 1..7). Each
+  // holds its exact direction twice, whose cosine to the query e0 is
+  // 1/sqrt(2) bit for bit in every cluster, and 20 rows farther from e0.
+  // The top-5 are five of the 28 equal cells, the five lowest ids, spread
+  // over lists the probe visits in centroid order.
+  constexpr size_t kDim = 8;
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    std::vector<std::vector<float>> rows;
+    for (size_t m = 1; m < kDim; ++m) {
+      for (float sign : {1.0f, -1.0f}) {
+        std::vector<float> tie(kDim, 0.0f);
+        tie[0] = 1.0f;
+        tie[m] = sign;
+        rows.push_back(tie);
+        rows.push_back(tie);
+        for (int r = 0; r < 20; ++r) {
+          std::vector<float> row(kDim);
+          for (size_t d = 1; d < kDim; ++d) {
+            row[d] = 0.1f * static_cast<float>(rng.NextGaussian());
+          }
+          row[0] = 1.0f;
+          row[m] = sign * (1.25f + 0.25f * std::fabs(static_cast<float>(
+                                               rng.NextGaussian())));
+          rows.push_back(row);
+        }
+      }
+    }
+    const math::Matrix tgt = ShuffledRows(rows, seed);
+    std::vector<float> query(kDim, 0.0f);
+    query[0] = 1.0f;
+    SCOPED_TRACE(seed);
+    ExpectProbeMatchesBruteForce(tgt, query, DistanceMetric::kCosine, 14, 5);
+  }
+}
+
+TEST(AnnIvfProbeBoundTest, KthValueOfMinusInfinityAdmitsLowerIds) {
+  // Euclidean: three rows of unit scale lie 1.5e19 from the query (a finite
+  // squared distance of 2.25e38, equal for all three), and 60 rows around
+  // 1e19 * e_m (m = 1..3) lie farther, where the squared distance
+  // overflows and the similarity is -inf. With k = 8 the k-th kept value
+  // is -inf, and the -inf rows of later lists must still win on lower ids.
+  constexpr size_t kDim = 4;
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    std::vector<std::vector<float>> rows;
+    for (int r = 0; r < 3; ++r) {
+      std::vector<float> row(kDim);
+      for (float& v : row) v = static_cast<float>(rng.NextGaussian());
+      rows.push_back(row);
+    }
+    for (size_t m = 1; m < kDim; ++m) {
+      for (int r = 0; r < 20; ++r) {
+        std::vector<float> row(kDim);
+        for (float& v : row) v = 1e17f * static_cast<float>(rng.NextGaussian());
+        row[0] -= 1e19f;
+        row[m] += 1e19f;
+        rows.push_back(row);
+      }
+    }
+    const math::Matrix tgt = ShuffledRows(rows, seed);
+    const std::vector<float> query = {1.5e19f, 0.0f, 0.0f, 0.0f};
+    SCOPED_TRACE(seed);
+    const std::vector<TopKEntry> want =
+        BruteForceTopK(tgt, query, DistanceMetric::kEuclidean, 8);
+    ASSERT_TRUE(std::isfinite(want[2].value));
+    ASSERT_TRUE(std::isinf(want[7].value) && want[7].value < 0);
+    ExpectProbeMatchesBruteForce(tgt, query, DistanceMetric::kEuclidean, 6,
+                                 8);
+  }
+}
+
+TEST(AnnIvfProbeBoundTest, KthValueOfPlusInfinityAdmitsLowerIds) {
+  // Inner product: rows in six clusters around 2 e0 +- 5 e_m (m = 1..3),
+  // and a query of 3e38 * e0, so every product overflows to +inf except
+  // those of the four rows with a coordinate 0 of 0.5. With k = 5 the k-th
+  // kept value is +inf: only a tie can enter, and it must win on a lower
+  // id.
+  constexpr size_t kDim = 4;
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    std::vector<std::vector<float>> rows;
+    for (size_t m = 1; m < kDim; ++m) {
+      for (float sign : {1.0f, -1.0f}) {
+        for (int r = 0; r < 12; ++r) {
+          std::vector<float> row(kDim);
+          for (float& v : row) v = 0.3f * static_cast<float>(rng.NextGaussian());
+          row[0] = r < 2 && m == 1 ? 0.5f : 2.0f;
+          row[m] += sign * 5.0f;
+          rows.push_back(row);
+        }
+      }
+    }
+    const math::Matrix tgt = ShuffledRows(rows, seed);
+    const std::vector<float> query = {3e38f, 0.0f, 0.0f, 0.0f};
+    SCOPED_TRACE(seed);
+    const std::vector<TopKEntry> want =
+        BruteForceTopK(tgt, query, DistanceMetric::kInner, 5);
+    ASSERT_TRUE(std::isinf(want[4].value) && want[4].value > 0);
+    ExpectProbeMatchesBruteForce(tgt, query, DistanceMetric::kInner, 6, 5);
   }
 }
 

@@ -1,11 +1,18 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
@@ -212,6 +219,128 @@ TEST(TablePrinterTest, RendersAlignedTable) {
   EXPECT_NE(out.find("MTransE"), std::string::npos);
   EXPECT_NE(out.find("0.755"), std::string::npos);
   EXPECT_NE(out.find("+"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// json number path: AppendNumber against the printf formatting it replaced,
+// Parse against strtod on the token it scans.
+// ---------------------------------------------------------------------------
+
+/// The number formatting AppendNumber must reproduce: null for non-finite
+/// values, integral values below 1e15 as integers, the rest "%.17g".
+std::string PrintfNumber(double d) {
+  if (!std::isfinite(d)) return "null";
+  if (std::fabs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<long long>(d))) {
+    return std::to_string(static_cast<long long>(d));
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+std::string AppendedNumber(double d) {
+  std::string out = "x";  // AppendNumber appends.
+  json::AppendNumber(d, out);
+  return out.substr(1);
+}
+
+TEST(JsonNumberTest, AppendNumberMatchesPrintfOnEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double cases[] = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.5, -1e-7, 1e15, -1e15,
+      std::nextafter(1e15, 0.0), std::nextafter(1e15, kInf), 1e15 - 1.0,
+      999999999999999.5, 123456789012345678.0, 1e300, -1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      static_cast<double>(std::numeric_limits<float>::max()),
+      static_cast<double>(std::numeric_limits<float>::denorm_min()),
+      static_cast<double>(0.70710677f), kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double d : cases) {
+    EXPECT_EQ(AppendedNumber(d), PrintfNumber(d)) << PrintfNumber(d);
+  }
+}
+
+TEST(JsonNumberTest, AppendNumberMatchesPrintfOnRandomBitPatterns) {
+  // Every double bit pattern class (denormals, NaNs, both infinities, the
+  // integral range), then float bit patterns widened to double: the
+  // values a served score takes.
+  Rng rng(2024);
+  size_t mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double d = std::bit_cast<double>(rng.NextU64());
+    if (AppendedNumber(d) != PrintfNumber(d) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<uint64_t>(d) << ": "
+                    << AppendedNumber(d) << " vs " << PrintfNumber(d);
+    }
+  }
+  for (int i = 0; i < 200000; ++i) {
+    const double d = static_cast<double>(
+        std::bit_cast<float>(static_cast<uint32_t>(rng.NextU64())));
+    if (AppendedNumber(d) != PrintfNumber(d) && ++mismatches <= 5) {
+      ADD_FAILURE() << AppendedNumber(d) << " vs " << PrintfNumber(d);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// Parse of the document `token` agrees with strtod on the same bytes: it
+/// accepts exactly when strtod reads the whole token, to the same double.
+void ExpectParseMatchesStrtod(const std::string& token) {
+  char* end = nullptr;
+  const double want = std::strtod(token.c_str(), &end);
+  const bool strtod_accepts =
+      !token.empty() && end == token.c_str() + token.size();
+  json::Value value;
+  const Status parsed = json::Parse(token, &value);
+  ASSERT_EQ(parsed.ok(), strtod_accepts) << "token '" << token << "'";
+  if (!parsed.ok()) return;
+  ASSERT_TRUE(value.is_number()) << token;
+  EXPECT_EQ(std::bit_cast<uint64_t>(value.number()),
+            std::bit_cast<uint64_t>(want))
+      << "token '" << token << "'";
+}
+
+TEST(JsonNumberTest, ParseMatchesStrtodOnTokenCorpus) {
+  for (const char* token :
+       {"+1", "+-1", "++1", "--1", "1e", "1e+", "-", "+", ".", ".5", "-.5",
+        "+.5", "1.", "00012", "-0", "-0.0", "0e0", "1e+5", "1E-5", "1.5e3.2",
+        "1-2", "e5", "-e5", "1e999", "-1e999", "1e-999", "-1e-999",
+        "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+        "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308", "123456789012345678901234567890",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "3.4028234663852886e38", "0.70710677"}) {
+    ExpectParseMatchesStrtod(token);
+  }
+}
+
+TEST(JsonNumberTest, ParseMatchesStrtodOnRandomTokens) {
+  Rng rng(7);
+  // Short strings over the bytes the number scanner takes.
+  const std::string alphabet = "0123456789.eE+-";
+  for (int i = 0; i < 200000; ++i) {
+    std::string token(1 + rng.NextBounded(8), ' ');
+    for (char& c : token) c = alphabet[rng.NextBounded(alphabet.size())];
+    ExpectParseMatchesStrtod(token);
+  }
+  // Printed doubles and floats, at full and at short precision.
+  for (int i = 0; i < 100000; ++i) {
+    const double d = std::bit_cast<double>(rng.NextU64());
+    const float f = std::bit_cast<float>(static_cast<uint32_t>(rng.NextU64()));
+    if (!std::isfinite(d) || !std::isfinite(f)) continue;
+    char buf[64];
+    for (const char* format : {"%.17g", "%.9g", "%.3e"}) {
+      std::snprintf(buf, sizeof(buf), format, d);
+      ExpectParseMatchesStrtod(buf);
+      std::snprintf(buf, sizeof(buf), format, static_cast<double>(f));
+      ExpectParseMatchesStrtod(buf);
+    }
+  }
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // bit-identical to a local exact top-k, malformed requests and fingerprint
 // mismatches must come back as in-order Status errors without killing the
 // session, and the --json telemetry must pass validate_bench_json and
-// carry the serving metrics (qps, latency percentiles, batch sizes).
+// carry the serving metrics (qps, latency percentiles, batch sizes). The
+// topk response writer is pinned byte for byte against the DOM dump it
+// replaced, directly and on served lines.
 
 #include <gtest/gtest.h>
 #include <dirent.h>
@@ -15,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -510,6 +514,109 @@ TEST(ServeTest, BadCheckpointOrConfigFailsStartup) {
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 1);
   }
+}
+
+/// The topk response as a DOM, compactly dumped: what AppendTopKResponse
+/// must write byte for byte.
+std::string DomTopKResponse(const json::Value& id,
+                            const std::string& request_id,
+                            const align::TopKResult& topk, size_t row_begin,
+                            size_t rows, size_t k) {
+  json::Value::Array ids, scores;
+  for (size_t r = 0; r < rows; ++r) {
+    const auto row = topk.Row(row_begin + r);
+    json::Value::Array row_ids, row_scores;
+    for (size_t t = 0; t < k; ++t) {
+      row_ids.push_back(json::Value(row[t].index));
+      row_scores.push_back(json::Value(
+          row[t].index >= 0 ? static_cast<double>(row[t].value) : 0.0));
+    }
+    ids.push_back(json::Value(std::move(row_ids)));
+    scores.push_back(json::Value(std::move(row_scores)));
+  }
+  json::Value::Object obj;
+  obj["id"] = id;
+  obj["ok"] = json::Value(true);
+  obj["req"] = json::Value(request_id);
+  obj["ids"] = json::Value(std::move(ids));
+  obj["scores"] = json::Value(std::move(scores));
+  return json::Value(std::move(obj)).Dump(/*indent=*/0);
+}
+
+TEST(TopKResponseTest, WriterMatchesDomDump) {
+  // Three rows of k = 4: full rows with scores that need 17 digits, ties
+  // and a -0 score, and a row padded with {-inf, -1}.
+  align::TopKResult topk;
+  topk.rows = 3;
+  topk.k = 4;
+  const float kNegInf = -std::numeric_limits<float>::infinity();
+  topk.entries = {{0.70710677f, 3},  {0.5f, 0},     {0.5f, 9},
+                  {-0.0f, 12},       {1e-30f, 100}, {-2.5f, 7},
+                  {-3.4e38f, 8},     {-1e-45f, 1},  {0.125f, 4},
+                  {kNegInf, -1},     {kNegInf, -1}, {kNegInf, -1}};
+  json::Value::Object nested;
+  nested["a"] = json::Value(json::Value::Array{1, 2.5});
+  const json::Value ids[] = {json::Value(42), json::Value(-3.25),
+                             json::Value(1e20),
+                             json::Value("q\"uo\\te\n\x01 caf\xc3\xa9"),
+                             json::Value(), json::Value(true),
+                             json::Value(std::move(nested))};
+  for (const json::Value& id : ids) {
+    for (const auto& [row_begin, rows] :
+         {std::pair<size_t, size_t>{0, 3}, {1, 2}, {2, 1}, {0, 0}}) {
+      for (size_t k : {size_t{4}, size_t{2}, size_t{0}}) {
+        std::string out = "prefix";
+        AppendTopKResponse(id, "r-17", topk, row_begin, rows, k, out);
+        EXPECT_EQ(out, "prefix" + DomTopKResponse(id, "r-17", topk, row_begin,
+                                                  rows, k));
+      }
+    }
+  }
+}
+
+TEST(TopKResponseTest, ServedLinesMatchDomDump) {
+  // Six targets and k = 9 pad every row; the four requests carry a numeric
+  // id, a string id that needs escaping, a null id and no id at all (which
+  // the response echoes as null).
+  const std::string dir = TempDir();
+  const std::string ckpt = WriteCheckpoint(dir, 6, 8, 31);
+  const auto state = checkpoint::LoadTrainState(ckpt);
+  ASSERT_TRUE(state.ok());
+  auto exact = align::CreateCandidateSourceOrDie(align::CandidateSourceConfig());
+  ASSERT_TRUE(exact->Index(TableMatrix(state->tables[1])).ok());
+
+  Rng rng(12);
+  math::Matrix queries(5, 8);
+  queries.FillUniform(rng, 1.0f);
+  const align::TopKResult truth = exact->TopK(queries, 9);
+
+  struct Request {
+    std::string id_json;  // Empty: no "id" member.
+    json::Value id;
+    size_t row_begin, rows;
+  };
+  const std::vector<Request> requests = {
+      {"7", json::Value(7), 0, 2},
+      {"\"a\\\"b\\\\c\\n\\u0001\"", json::Value("a\"b\\c\n\x01"), 2, 1},
+      {"null", json::Value(), 3, 1},
+      {"", json::Value(), 4, 1}};
+  ServeProcess server({"--checkpoint=" + ckpt, "--source=exact", "--k=9"});
+  server.ReadLine();  // Hello.
+  for (const Request& request : requests) {
+    server.Send("{\"op\":\"topk\"," +
+                (request.id_json.empty() ? std::string()
+                                         : "\"id\":" + request.id_json + ",") +
+                "\"rows\":" +
+                RowsJson(queries, request.row_begin, request.rows) + "}");
+  }
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(server.ReadLine(),
+              DomTopKResponse(requests[i].id, "r-" + std::to_string(i + 1),
+                              truth, requests[i].row_begin, requests[i].rows,
+                              9));
+  }
+  server.CloseInput();
+  server.Wait();
 }
 
 TEST(ModelFingerprintTest, SensitiveToValuesAndShape) {
