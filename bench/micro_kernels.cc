@@ -10,6 +10,7 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/datagen/synthetic_kg.h"
+#include "src/eval/metrics.h"
 #include "src/embedding/negative_sampling.h"
 #include "src/kg/graph_stats.h"
 #include "src/math/embedding_table.h"
@@ -391,6 +392,36 @@ BENCHMARK(BM_TopKStreaming)
     ->Args({400, 1})
     ->Args({800, 0})
     ->Args({800, 1});
+
+// The ranking scan of the evaluation protocol: EvaluateRanking over n
+// planted pairs of width `dim` (cosine, no CSLS), n x n cells per call.
+void BM_EvaluateRanking(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  Rng rng(7);
+  core::AlignmentModel model;
+  model.emb1 = math::Matrix(n, dim);
+  model.emb2 = math::Matrix(n, dim);
+  model.emb2.FillUniform(rng, 1.0f);
+  kg::Alignment pairs(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      model.emb1.Row(i)[d] =
+          model.emb2.Row(i)[d] + 0.5f * rng.NextFloat(-1, 1);
+    }
+    pairs[i] = {static_cast<kg::EntityId>(i), static_cast<kg::EntityId>(i)};
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval::EvaluateRanking(
+        model, pairs, align::DistanceMetric::kCosine));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_EvaluateRanking)
+    ->ArgNames({"n", "dim"})
+    ->Args({10500, 32})
+    ->Args({2100, 128})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ApplyCsls(benchmark::State& state) {
   const auto base = RandomSim(static_cast<size_t>(state.range(0)), 5);

@@ -162,8 +162,10 @@ void ComputeCslsPsi(const math::Matrix& src, const math::RowBanks::Bank& tgt,
           uint32_t& rcount = row_counts[i - row_begin];
           // One batched kernel call per (row, column tile).
           detail::MetricRowBlock(
-              metric, a.data(), na, tgt.RowValues(jb), tgt.stride(),
-              tgt_norms.empty() ? nullptr : tgt_norms.data() + jb,
+              metric, a.data(), na, tgt.RowValues(tgt.first_row() + jb),
+              tgt.stride(),
+              tgt_norms.empty() ? nullptr
+                                : tgt_norms.data() + tgt.first_row() + jb,
               cell_buf.data(), je - jb, src.cols());
           for (size_t j = jb; j < je; ++j) {
             const float s = cell_buf[j - jb];
@@ -306,6 +308,19 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
     });
   }
 
+  // A cosine ranking (k = 0, no CSLS) decides its cells with the bound
+  // kernel `rank_cosine` and computes exact cells only near each row's true
+  // cell (DESIGN.md, "Ranking by decision"). Rows and banks outside the
+  // kernel's guard take the exact scan; the counts are the same either way.
+  const bool rank_by_decision =
+      has_true && k == 0 && !options.csls &&
+      options.metric == DistanceMetric::kCosine &&
+      dim <= math::kernels::kRankMaxDim;
+  auto in_rank_guard = [](float norm) {
+    return norm >= math::kernels::kRankMinNorm &&
+           norm <= math::kernels::kRankMaxNorm;
+  };
+
   // The scan: bank-outer, with persistent per-row selection state. Row
   // chunk boundaries are fixed by kRowGrain, so a given row is only ever
   // touched by the thread owning its chunk within a bank, and the
@@ -317,13 +332,64 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
     for_each_bank([&](const math::RowBanks::Bank& bank) {
       const size_t first = bank.first_row();
       const size_t bank_rows = bank.rows();
+      const bool bank_decided =
+          rank_by_decision &&
+          std::all_of(tgt_norms.begin() + static_cast<long>(first),
+                      tgt_norms.begin() + static_cast<long>(first + bank_rows),
+                      in_rank_guard);
+      // The tiles ScanRowTiles would count for a decided row.
+      const uint64_t row_tiles = (bank_rows + col_block - 1) / col_block;
       ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
         std::vector<float> cell_buf(std::min(col_block, bank_rows));
         uint64_t local_nan = 0;
         uint64_t local_blocks = 0;
+        // The decided rows of this chunk, kRankGroup at a time.
+        std::vector<float> rank_scratch;
+        if (bank_decided) rank_scratch.resize(math::kernels::kRankGroup * dim);
+        const float* group_rows[math::kernels::kRankGroup];
+        float group_norms[math::kernels::kRankGroup];
+        float group_true[math::kernels::kRankGroup];
+        size_t group_pos[math::kernels::kRankGroup];
+        size_t group_index[math::kernels::kRankGroup];
+        size_t group_size = 0;
+        auto flush_group = [&] {
+          if (group_size == 0) return;
+          math::kernels::RankTile tile;
+          tile.count = group_size;
+          tile.rows = group_rows;
+          tile.row_norms = group_norms;
+          tile.true_vals = group_true;
+          tile.true_pos = group_pos;
+          tile.b = bank.values();
+          tile.ldb = bank.stride();
+          tile.tgt_norms = tgt_norms.data() + first;
+          tile.cols = bank_rows;
+          tile.n = dim;
+          tile.scratch = rank_scratch.data();
+          math::kernels::ScanCounts tally[math::kernels::kRankGroup];
+          math::kernels::Active().rank_cosine(tile, tally);
+          for (size_t g = 0; g < group_size; ++g) {
+            local_nan += tally[g].nan;
+            result.num_greater[group_index[g]] += tally[g].greater;
+            result.num_ties[group_index[g]] += tally[g].ties;
+          }
+          group_size = 0;
+        };
         for (size_t i = row_begin; i < row_end; ++i) {
           if (has_true && true_in_scan) {
             result.true_sim[i] = true_cell(i, bank);
+          }
+          if (bank_decided && in_rank_guard(src_norms[i]) &&
+              std::fabs(result.true_sim[i]) <= 2.0f) {
+            group_rows[group_size] = src.Row(i).data();
+            group_norms[group_size] = src_norms[i];
+            group_true[group_size] = result.true_sim[i];
+            group_pos[group_size] =
+                static_cast<size_t>(options.true_cols[i]) - first;
+            group_index[group_size] = i;
+            local_blocks += row_tiles;
+            if (++group_size == math::kernels::kRankGroup) flush_group();
+            continue;
           }
           RowSelection sel;
           sel.ents = result.entries.data() + i * k;
@@ -348,6 +414,7 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
             result.num_ties[i] += tally.ties;
           }
         }
+        flush_group();
         if (local_nan > 0) {
           nan_cells.fetch_add(local_nan, std::memory_order_relaxed);
         }

@@ -1,10 +1,12 @@
 #include "src/math/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace openea::math::kernels {
 namespace {
@@ -115,6 +117,51 @@ void ScalarScanEpilogue(const ScanEpilogue& tile, float* cells, size_t count,
   }
 }
 
+// The kCosine finish of the epilogue above, for one cell.
+inline float CosineCell(float dot, float na, float nb) {
+  return (na < 1e-12f || nb < 1e-12f) ? 0.0f : dot / (na * nb);
+}
+
+// Tallies one exact cell the way the epilogue's count loop does.
+inline void TallyCell(float v, float true_val, ScanCounts& counts) {
+  if (std::isnan(v)) {
+    ++counts.nan;
+  } else if (v > true_val) {
+    ++counts.greater;
+  } else if (v == true_val) {
+    ++counts.ties;
+  }
+}
+
+// Cosine ranking by decision (kernels.h, RankTile). A cell's decision value
+// is its dot product times the two reciprocal norms; a cell inside its
+// row's band is finished exactly from the same dot product, since ScalarDot
+// is also the exact cell's (dot_rows) dot product here.
+void ScalarRankCosine(const RankTile& tile, ScanCounts* counts) {
+  const double margin = RankMargin(tile.n);
+  float inv_na[kRankGroup], lo[kRankGroup], hi[kRankGroup];
+  for (size_t r = 0; r < tile.count; ++r) {
+    inv_na[r] = 1.0f / tile.row_norms[r];
+    RankBand(tile.true_vals[r], margin, &lo[r], &hi[r]);
+  }
+  for (size_t j = 0; j < tile.cols; ++j) {
+    const float* b = tile.b + j * tile.ldb;
+    const float nb = tile.tgt_norms[j];
+    const float inv_nb = 1.0f / nb;
+    for (size_t r = 0; r < tile.count; ++r) {
+      if (j == tile.true_pos[r]) continue;
+      const float dot = ScalarDot(tile.rows[r], b, tile.n);
+      const float x = dot * inv_na[r] * inv_nb;
+      if (x > hi[r]) {
+        ++counts[r].greater;
+      } else if (!(x < lo[r])) {
+        TallyCell(CosineCell(dot, tile.row_norms[r], nb), tile.true_vals[r],
+                  counts[r]);
+      }
+    }
+  }
+}
+
 void ScalarAxpy(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -196,6 +243,7 @@ constexpr KernelTable kScalarTable = {
     /*squared_l2_distance_rows=*/ScalarSquaredL2DistanceRows,
     /*l1_distance_rows=*/ScalarL1DistanceRows,
     /*scan_epilogue=*/ScalarScanEpilogue,
+    /*rank_cosine=*/ScalarRankCosine,
     /*axpy=*/ScalarAxpy,
     /*scale=*/ScalarScale,
     /*add=*/ScalarAdd,
@@ -243,6 +291,47 @@ std::atomic<const KernelTable*>& ActiveTablePtr() {
 }
 
 }  // namespace
+
+double RankMargin(size_t n) {
+  if (n > kRankMaxDim) return std::numeric_limits<double>::infinity();
+  // DESIGN.md, "Ranking by decision": u is the float unit roundoff and g
+  // the dot-product bound gamma_n, which holds for any summation order.
+  const double u = 0x1p-24;
+  const double nu = static_cast<double>(n) * u;
+  const double g = nu / (1.0 - nu);
+  // na * nb over |a| |b|: each squared norm within (1 +- g), each square
+  // root rounded once.
+  const double alpha_lo = (1.0 - g) * (1.0 - u) * (1.0 - u);
+  const double alpha_hi = (1.0 + g) * (1.0 + u) * (1.0 + u);
+  // Exact cell: dot / (na * nb), two roundings. Decision value:
+  // (dot * (1 / na)) * (1 / nb), four.
+  const double exact_lo = (1.0 - u) / ((1.0 + u) * alpha_hi);
+  const double exact_hi = (1.0 + u) / ((1.0 - u) * alpha_lo);
+  const double decide_lo = std::pow(1.0 - u, 4) / alpha_hi;
+  const double decide_hi = std::pow(1.0 + u, 4) / alpha_lo;
+  // |cell - cosine| <= |beta - 1| + g * beta for |cosine| <= 1.
+  const double exact_err =
+      std::max(exact_hi - 1.0, 1.0 - exact_lo) + g * exact_hi;
+  const double decide_err =
+      std::max(decide_hi - 1.0, 1.0 - decide_lo) + g * decide_hi;
+  // Slack: the double arithmetic here, the double sums of RankBand, and
+  // results that round into the subnormal range.
+  return (exact_err + decide_err) * (1.0 + 0x1p-20) + 0x1p-50 +
+         static_cast<double>(n + 4) * 0x1p-100;
+}
+
+void RankBand(float true_val, double margin, float* lo, float* hi) {
+  const double up = static_cast<double>(true_val) + margin;
+  const double down = static_cast<double>(true_val) - margin;
+  *hi = static_cast<float>(up);
+  if (static_cast<double>(*hi) < up) {
+    *hi = std::nextafter(*hi, std::numeric_limits<float>::infinity());
+  }
+  *lo = static_cast<float>(down);
+  if (static_cast<double>(*lo) > down) {
+    *lo = std::nextafter(*lo, -std::numeric_limits<float>::infinity());
+  }
+}
 
 #ifdef OPENEA_HAVE_AVX2_KERNELS
 // Defined in kernels_avx2.cc (the only TU compiled with -mavx2 -mfma).

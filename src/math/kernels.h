@@ -82,6 +82,49 @@ struct ScanCounts {
   uint32_t ties = 0;     // Cells == true_val.
 };
 
+/// Source rows per `rank_cosine` group (one AVX2 lane each).
+constexpr size_t kRankGroup = 8;
+/// The guard of `rank_cosine`: every row and target norm must lie in
+/// [kRankMinNorm, kRankMaxNorm] (so no dot product, norm or scaling
+/// overflows and the cosine's 1e-12 degenerate guard never fires), every
+/// true cell must satisfy |true_val| <= 2, and n <= kRankMaxDim.
+constexpr float kRankMinNorm = 0x1p-20f;
+constexpr float kRankMaxNorm = 0x1p20f;
+constexpr size_t kRankMaxDim = size_t{1} << 16;
+
+/// A cosine ranking group (DESIGN.md, "Streaming top-k similarity",
+/// "Ranking by decision"): up to kRankGroup source rows against `cols`
+/// target rows starting at `b`, `ldb` floats apart. Per row it tallies the
+/// cells greater than and equal to the row's true cell, skipping the true
+/// column, exactly as `scan_epilogue` does over the exact cells.
+struct RankTile {
+  size_t count = 0;                    // Rows in the group, 1..kRankGroup.
+  const float* const* rows = nullptr;  // count rows of n floats each.
+  const float* row_norms = nullptr;    // Their L2 norms.
+  const float* true_vals = nullptr;    // Their true cells.
+  /// Their true columns relative to `b`; a position >= cols excludes none.
+  const size_t* true_pos = nullptr;
+  const float* b = nullptr;
+  size_t ldb = 0;
+  const float* tgt_norms = nullptr;  // One L2 norm per target row.
+  size_t cols = 0;
+  size_t n = 0;
+  /// Scratch of kRankGroup * n floats.
+  float* scratch = nullptr;
+};
+
+/// The decision margin of `rank_cosine` at row length n: a data-independent
+/// bound on |decision value - exact cell| plus the rounding of the band
+/// edges, derived in DESIGN.md. A cell whose decision value lies more than
+/// the margin above (below) its row's true cell is counted as greater
+/// (dropped) without its exact value. +inf when n > kRankMaxDim.
+double RankMargin(size_t n);
+
+/// The band of one row: `*hi` is the least float >= true_val + margin and
+/// `*lo` the greatest float <= true_val - margin, with the sums taken in
+/// double (RankMargin's slack covers their rounding).
+void RankBand(float true_val, double margin, float* lo, float* hi);
+
 /// One triple's rows for `translation_update`: the head and tail entity
 /// rows and the relation row, each with its AdaGrad accumulator row, plus
 /// the triple's residual (h + r) - t from `translation_residual`. The head
@@ -140,6 +183,14 @@ struct KernelTable {
   //    cells. --------------------------------------------------------------
   void (*scan_epilogue)(const ScanEpilogue& tile, float* cells, size_t count,
                         ScanCounts* counts);
+
+  // -- Cosine ranking by decision: adds to counts[0..tile.count) the NaN,
+  //    greater and tie tallies the exact cells of this backend (`dot_rows`
+  //    plus the kCosine finish) would give. Each cell's decision value
+  //    comes from a cheaper bound kernel; only cells within RankMargin(n)
+  //    of the true cell are computed exactly. The caller keeps to the guard
+  //    above (kRankMinNorm). ---------------------------------------------
+  void (*rank_cosine)(const RankTile& tile, ScanCounts* counts);
 
   // -- Elementwise (bit-identical across backends). ------------------------
   /// y[i] += alpha * x[i].

@@ -10,7 +10,8 @@
 // kernels use 8-lane FMA accumulators and reassociate the sum; they may
 // differ from scalar in the last ULPs and are tied to it by the
 // ULP-tolerance suite in tests/kernels_test.cc. The scan epilogue is
-// elementwise per cell and bit-identical to scalar as well.
+// elementwise per cell and bit-identical to scalar as well. The ranking
+// kernel's counts equal those of this backend's exact cells.
 
 #ifdef OPENEA_HAVE_AVX2_KERNELS
 
@@ -18,6 +19,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "src/math/kernels.h"
 
@@ -338,6 +341,139 @@ void Avx2ScanEpilogue(const ScanEpilogue& tile, float* cells, size_t count,
 }
 
 // ---------------------------------------------------------------------------
+// Cosine ranking by decision (kernels.h, RankTile; DESIGN.md, "Ranking by
+// decision"). The group's rows are packed dim-major into the scratch, one
+// row per lane, and the targets are read in place: per dim, one load of the
+// packed rows and one broadcast per target feed one FMA accumulator per
+// target, so a block of kRankBlock targets yields 8 x kRankBlock decision
+// values with no horizontal sums. Each accumulator is scaled by the rows'
+// and the target's reciprocal norms and compared with the rows' bands: a
+// cell above its band counts as greater, one below is dropped, and one
+// inside it (or NaN) is computed exactly, as dot_rows and the kCosine
+// epilogue compute it (CellOf is dot_rows' per-row float).
+// ---------------------------------------------------------------------------
+
+constexpr size_t kRankBlock = 8;  // Targets per register block.
+
+/// Per-lane constants of a group; lanes past the group's rows have zero
+/// rows and a band of [+inf, +inf], so every cell of theirs is dropped.
+struct RankLanes {
+  __m256 inv_na, lo, hi;
+};
+
+inline float CosineCell(float dot, float na, float nb) {
+  return (na < 1e-12f || nb < 1e-12f) ? 0.0f : dot / (na * nb);
+}
+
+/// Tallies one exact cell the way the epilogue's count loop does.
+inline void TallyCell(float v, float true_val, ScanCounts& counts) {
+  if (std::isnan(v)) {
+    ++counts.nan;
+  } else if (v > true_val) {
+    ++counts.greater;
+  } else if (v == true_val) {
+    ++counts.ties;
+  }
+}
+
+/// Decides the cells of targets col..col+kTargets-1 for every lane; adds
+/// the cells above their band to `greater` and tallies the cells inside it
+/// exactly into `counts`. `inv_nb` holds the targets' reciprocal norms.
+/// A true column is never decided (its decision value lies within the
+/// margin of its own exact cell), so skipping it among the undecided cells
+/// keeps it out of the counts. kWidth: the row length when it is a
+/// compile-time constant.
+template <size_t kTargets, size_t kWidth>
+__attribute__((always_inline)) inline void RankBlock(
+    const RankTile& tile, const RankLanes& lanes, size_t n, size_t col,
+    const float* inv_nb, __m256i& greater, ScanCounts* counts) {
+  const size_t ldb = tile.ldb;
+  const float* b = tile.b + col * ldb;
+  const float* packed = tile.scratch;
+  const size_t dims = kWidth != 0 ? kWidth : n;
+  __m256 acc[kTargets];
+  for (size_t k = 0; k < kTargets; ++k) acc[k] = _mm256_setzero_ps();
+  for (size_t d = 0; d < dims; ++d) {
+    const __m256 p = _mm256_loadu_ps(packed + d * kLanes);
+#pragma GCC unroll 8
+    for (size_t k = 0; k < kTargets; ++k) {
+      acc[k] = _mm256_fmadd_ps(p, _mm256_broadcast_ss(b + k * ldb + d),
+                               acc[k]);
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t k = 0; k < kTargets; ++k) {
+    const __m256 x = _mm256_mul_ps(_mm256_mul_ps(acc[k], lanes.inv_na),
+                                   _mm256_broadcast_ss(inv_nb + k));
+    const __m256 above = _mm256_cmp_ps(x, lanes.hi, _CMP_GT_OQ);
+    const __m256 below = _mm256_cmp_ps(x, lanes.lo, _CMP_LT_OQ);
+    greater = _mm256_sub_epi32(greater, _mm256_castps_si256(above));
+    unsigned undecided =
+        ~static_cast<unsigned>(_mm256_movemask_ps(_mm256_or_ps(above, below))) &
+        0xFFu;
+    while (undecided != 0) {
+      const unsigned r = static_cast<unsigned>(__builtin_ctz(undecided));
+      undecided &= undecided - 1;
+      const size_t j = col + k;
+      if (j == tile.true_pos[r]) continue;
+      TallyCell(CosineCell(CellOf<DotOp>(tile.rows[r], b + k * ldb, n),
+                           tile.row_norms[r], tile.tgt_norms[j]),
+                tile.true_vals[r], counts[r]);
+    }
+  }
+}
+
+template <size_t kWidth>
+void RankCosineOf(const RankTile& tile, ScanCounts* counts) {
+  const size_t n = kWidth != 0 ? kWidth : tile.n;
+  const size_t cols = tile.cols;
+  float* packed = tile.scratch;
+  for (size_t d = 0; d < n; ++d) {
+    for (size_t r = 0; r < kLanes; ++r) {
+      packed[d * kLanes + r] = r < tile.count ? tile.rows[r][d] : 0.0f;
+    }
+  }
+  alignas(32) float inv_na[kLanes], lo[kLanes], hi[kLanes];
+  const double margin = RankMargin(n);
+  for (size_t r = 0; r < kLanes; ++r) {
+    inv_na[r] = 0.0f;
+    lo[r] = hi[r] = std::numeric_limits<float>::infinity();
+    if (r >= tile.count) continue;
+    inv_na[r] = 1.0f / tile.row_norms[r];
+    RankBand(tile.true_vals[r], margin, &lo[r], &hi[r]);
+  }
+  const RankLanes lanes{_mm256_load_ps(inv_na), _mm256_load_ps(lo),
+                        _mm256_load_ps(hi)};
+  __m256i greater = _mm256_setzero_si256();
+  alignas(32) float inv_nb[kRankBlock];
+  const __m256 one = _mm256_set1_ps(1.0f);
+  size_t col = 0;
+  for (; col + kRankBlock <= cols; col += kRankBlock) {
+    _mm256_store_ps(inv_nb,
+                    _mm256_div_ps(one, _mm256_loadu_ps(tile.tgt_norms + col)));
+    RankBlock<kRankBlock, kWidth>(tile, lanes, n, col, inv_nb, greater,
+                                  counts);
+  }
+  // The last targets, one at a time.
+  for (; col < cols; ++col) {
+    inv_nb[0] = 1.0f / tile.tgt_norms[col];
+    RankBlock<1, kWidth>(tile, lanes, n, col, inv_nb, greater, counts);
+  }
+  alignas(32) uint32_t tally[kLanes];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(tally), greater);
+  for (size_t r = 0; r < tile.count; ++r) counts[r].greater += tally[r];
+}
+
+void Avx2RankCosine(const RankTile& tile, ScanCounts* counts) {
+  // At the default width the dim loop unrolls (as in RowsOf).
+  if (tile.n == kDefaultWidth) {
+    RankCosineOf<kDefaultWidth>(tile, counts);
+  } else {
+    RankCosineOf<0>(tile, counts);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Elementwise: multiply then add/sub (no FMA) — bit-identical to scalar.
 // ---------------------------------------------------------------------------
 
@@ -538,6 +674,7 @@ constexpr KernelTable kAvx2Table = {
     /*squared_l2_distance_rows=*/RowsOf<SquaredL2DistanceOp>,
     /*l1_distance_rows=*/RowsOf<L1DistanceOp>,
     /*scan_epilogue=*/Avx2ScanEpilogue,
+    /*rank_cosine=*/Avx2RankCosine,
     /*axpy=*/Avx2Axpy,
     /*scale=*/Avx2Scale,
     /*add=*/Avx2Add,

@@ -7,6 +7,7 @@
 // approximate.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/align/inference.h"
@@ -22,6 +24,7 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/eval/metrics.h"
+#include "src/math/kernels.h"
 #include "src/math/sharded_table.h"
 
 namespace openea::align {
@@ -32,6 +35,12 @@ math::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   math::Matrix m(rows, cols);
   m.FillUniform(rng, 1.0f);
   return m;
+}
+
+/// Copies row `from` of `src` over row `to` of `dst`.
+void CopyRowTo(const math::Matrix& src, size_t from, math::Matrix& dst,
+               size_t to) {
+  std::copy(src.Row(from).begin(), src.Row(from).end(), dst.Row(to).begin());
 }
 
 /// Restores the serial default when a test body returns or fails.
@@ -324,8 +333,11 @@ class ScanEpilogueTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    // The pid keeps concurrent runs of the suite (topk_tests and
+    // topk_tests_scalar under ctest -j) out of each other's directories.
     dir_ = std::filesystem::temp_directory_path() /
-           (std::string("openea_topk_scan_") + info->name());
+           (std::string("openea_topk_scan_") + info->name() + "_" +
+            std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
@@ -337,7 +349,9 @@ class ScanEpilogueTest : public ::testing::Test {
   /// counts against the true column (a NaN true cell ranks last).
   void ExpectScansMatchDense(const math::Matrix& src, const math::Matrix& tgt,
                              const TopKOptions& options,
-                             const std::string& label) {
+                             const std::string& label,
+                             const std::vector<int>& thread_counts = {1, 8},
+                             const std::vector<size_t>& bank_sizes = {5, 13}) {
     const math::Matrix sim =
         DenseSim(src, tgt, options.metric, options.csls, options.csls_k);
     const size_t cols = tgt.rows();
@@ -384,13 +398,13 @@ class ScanEpilogueTest : public ::testing::Test {
         EXPECT_EQ(got.num_ties[i], ties) << where << " row=" << i;
       }
     };
-    for (int threads : {1, 8}) {
+    for (int threads : thread_counts) {
       ThreadGuard guard(threads);
       check(StreamingTopK(src, tgt, options),
             "streaming threads=" + std::to_string(threads));
     }
     if (options.csls) return;  // CSLS needs the targets in one bank.
-    for (size_t rows_per_bank : {5u, 13u}) {
+    for (size_t rows_per_bank : bank_sizes) {
       math::ShardedTableOptions shard_options;
       shard_options.rows_per_bank = rows_per_bank;
       const std::string path =
@@ -399,7 +413,7 @@ class ScanEpilogueTest : public ::testing::Test {
       ASSERT_TRUE(math::WriteShardedTable(path, tgt, shard_options).ok());
       auto banked = math::ShardedEmbeddingTable::Open(path);
       ASSERT_TRUE(banked.ok()) << banked.status().ToString();
-      for (int threads : {1, 8}) {
+      for (int threads : thread_counts) {
         ThreadGuard guard(threads);
         check(StreamingTopK(src, **banked, options),
               "sharded bank=" + std::to_string(rows_per_bank) +
@@ -515,6 +529,273 @@ TEST_F(ScanEpilogueTest, ColumnCountsThatAreNotMultiplesOfEight) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Ranking by decision (DESIGN.md, "Streaming top-k similarity"): a cosine
+// ranking scan (k = 0, no CSLS) counts greater and tied cells through the
+// bound kernel `rank_cosine`, which computes exact cells only near each
+// row's true cell. Every case checks the counts against the dense exact
+// cells at 1, 2 and 4 threads, in RAM and over banks of 5, 8 and 13 rows.
+// ---------------------------------------------------------------------------
+
+class RankByDecisionTest : public ScanEpilogueTest {
+ protected:
+  /// A cosine ranking of `src` with row i's true column `true_cols[i]`.
+  static TopKOptions Ranking(std::vector<int> true_cols) {
+    TopKOptions options;
+    options.k = 0;
+    options.metric = DistanceMetric::kCosine;
+    options.true_cols = std::move(true_cols);
+    return options;
+  }
+
+  void ExpectExactCounts(const math::Matrix& src, const math::Matrix& tgt,
+                         const std::vector<int>& true_cols,
+                         const std::string& label) {
+    ExpectScansMatchDense(src, tgt, Ranking(true_cols), label, {1, 2, 4},
+                          {5, 8, 13});
+  }
+
+  /// `v` scaled so that its float L2 norm is `norm` within a few ulps.
+  static void ScaleToNorm(std::span<float> v, double norm) {
+    double sum = 0.0;
+    for (float x : v) sum += static_cast<double>(x) * x;
+    const double scale = norm / std::sqrt(sum);
+    for (float& x : v) x = static_cast<float>(x * scale);
+  }
+};
+
+/// Targets that tie or nearly tie each row's true cell: rows 0..R-1 are
+/// the true targets; then, per true target, two exact copies, copies
+/// scaled by 1 + k 2^-23 for k = +-1..+-6 (the same cosine, rounded
+/// differently) and copies with one of the first components moved one ulp
+/// either way.
+math::Matrix NearTieTargets(const math::Matrix& truth) {
+  const size_t rows = truth.rows(), dim = truth.cols();
+  const size_t per_row = 2 + 12 + 2 * std::min<size_t>(dim, 6);
+  math::Matrix tgt(rows * (1 + per_row), dim);
+  size_t next = rows;
+  auto emit = [&](size_t i, auto&& edit) {
+    auto out = tgt.Row(next++);
+    std::copy(truth.Row(i).begin(), truth.Row(i).end(), out.begin());
+    edit(out);
+  };
+  for (size_t i = 0; i < rows; ++i) {
+    std::copy(truth.Row(i).begin(), truth.Row(i).end(), tgt.Row(i).begin());
+    for (int c = 0; c < 2; ++c) emit(i, [](std::span<float>) {});
+    for (int k = -6; k <= 6; ++k) {
+      if (k == 0) continue;
+      const float scale = 1.0f + static_cast<float>(k) * 0x1p-23f;
+      emit(i, [&](std::span<float> out) {
+        for (float& x : out) x *= scale;
+      });
+    }
+    for (size_t d = 0; d < std::min<size_t>(dim, 6); ++d) {
+      for (float toward : {-1.0f, 1.0f}) {
+        emit(i, [&](std::span<float> out) {
+          out[d] = std::nextafter(out[d], toward * 2.0f);
+        });
+      }
+    }
+  }
+  return tgt;
+}
+
+TEST_F(RankByDecisionTest, NearTiesMatchExactCellsAtEveryWidth) {
+  // Each row's true target has copies whose cells tie it or sit an ulp or
+  // a few either side of it. Rows and target counts are not multiples of 8.
+  const size_t rows = 19;
+  for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u}) {
+    const math::Matrix truth = RandomMatrix(rows, dim, 300 + dim);
+    math::Matrix src = RandomMatrix(rows, dim, 400 + dim);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        src.Row(i)[d] = truth.Row(i)[d] + 0.25f * src.Row(i)[d];
+      }
+    }
+    const math::Matrix tgt = NearTieTargets(truth);
+    std::vector<int> true_cols(rows);
+    for (size_t i = 0; i < rows; ++i) true_cols[i] = static_cast<int>(i);
+    if (dim >= 8) {
+      // The fixture holds cells one ulp above and below the true cells.
+      const math::Matrix sim =
+          SimilarityMatrix(src, tgt, DistanceMetric::kCosine);
+      size_t above = 0, below = 0;
+      for (size_t i = 0; i < rows; ++i) {
+        const float t = sim.Row(i)[i];
+        for (float v : sim.Row(i)) {
+          above += v == std::nextafter(t, 2.0f);
+          below += v == std::nextafter(t, -2.0f);
+        }
+      }
+      EXPECT_GT(above, 0u) << "dim=" << dim;
+      EXPECT_GT(below, 0u) << "dim=" << dim;
+    }
+    ExpectExactCounts(src, tgt, true_cols, "dim=" + std::to_string(dim));
+  }
+}
+
+TEST_F(RankByDecisionTest, NormsAtAndJustOutsideTheGuardedRange) {
+  // Rows and targets scaled to the edges of [2^-20, 2^20] and just past
+  // them, and far past them (2^-70 trips the cosine's 1e-12 guard, 2^70
+  // overflows the squared norm). A target outside the range sends its bank
+  // to the exact scan; a source row outside it takes the exact scan alone.
+  const size_t rows = 11, cols = 29, dim = 16;
+  math::Matrix src = RandomMatrix(rows, dim, 81);
+  math::Matrix tgt = RandomMatrix(cols, dim, 82);
+  const double lo = 0x1p-20, hi = 0x1p20;
+  const double edges[] = {lo * 1.001, lo * 0.999, hi * 0.999, hi * 1.001,
+                          0x1p-70, 0x1p70};
+  for (size_t e = 0; e < 6; ++e) ScaleToNorm(src.Row(e), edges[e]);
+  std::vector<int> true_cols(rows);
+  for (size_t i = 0; i < rows; ++i) true_cols[i] = static_cast<int>(i * 2);
+  ExpectExactCounts(src, tgt, true_cols, "rows at the edges");
+  // Target edges at columns 3, 12, 20 and 27: inside at 3 and 12, outside
+  // at 20 and 27, so some banks keep the bound kernel and some do not.
+  for (const auto& [j, norm] :
+       {std::pair<size_t, double>{3, lo * 1.001}, {12, hi * 0.999},
+        {20, lo * 0.999}, {27, hi * 1.001}}) {
+    ScaleToNorm(tgt.Row(j), norm);
+  }
+  ExpectExactCounts(src, tgt, true_cols, "rows and targets at the edges");
+  for (size_t j : {20u, 27u}) ScaleToNorm(tgt.Row(j), 1.0);
+  ExpectExactCounts(src, tgt, true_cols, "targets inside the range");
+}
+
+TEST_F(RankByDecisionTest, NanInfAndZeroRowsAndTargets) {
+  const size_t rows = 13, cols = 35, dim = 9;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  math::Matrix src = RandomMatrix(rows, dim, 91);
+  math::Matrix clean = RandomMatrix(cols, dim, 92);
+  src.Row(1)[3] = nan;
+  src.Row(4)[0] = inf;
+  src.Row(6)[8] = -inf;
+  for (float& v : src.Row(9)) v = 0.0f;
+  std::vector<int> true_cols(rows);
+  for (size_t i = 0; i < rows; ++i) true_cols[i] = static_cast<int>(i + 3);
+  // Clean targets: the other rows take the bound kernel.
+  ExpectExactCounts(src, clean, true_cols, "bad rows, clean targets");
+  // Bad targets, among them the true columns of rows 0 and 2.
+  math::Matrix tgt = clean;
+  tgt.Row(3)[2] = nan;
+  tgt.Row(17)[0] = inf;
+  for (float& v : tgt.Row(5)) v = 0.0f;
+  tgt.Row(30)[5] = -inf;
+  ExpectExactCounts(src, tgt, true_cols, "bad rows, bad targets");
+}
+
+TEST_F(RankByDecisionTest, RaggedShapesAtEveryWidth) {
+  // Row counts and bank sizes that are not multiples of 8, a single
+  // target, and true columns in every lane and block position.
+  for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u}) {
+    for (const auto& [rows, cols] :
+         {std::pair<size_t, size_t>{1, 1}, {7, 9}, {9, 17}, {17, 70}}) {
+      const math::Matrix src = RandomMatrix(rows, dim, 500 + dim + rows);
+      math::Matrix tgt = RandomMatrix(cols, dim, 600 + dim + cols);
+      // Copies give each row's true cell a tie somewhere.
+      for (size_t j = 0; j + 8 < cols; j += 3) CopyRow(tgt, j, j + 8);
+      std::vector<int> true_cols(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        true_cols[i] = static_cast<int>((i * 5) % cols);
+      }
+      ExpectExactCounts(src, tgt, true_cols,
+                        "dim=" + std::to_string(dim) +
+                            " rows=" + std::to_string(rows) +
+                            " cols=" + std::to_string(cols));
+    }
+  }
+}
+
+TEST(RankCosineKernelTest, ProvenMarginDecidesLikeTheExactCells) {
+  // The kernel of each backend against the exact scan of the same backend
+  // (dot_rows plus the epilogue's kCosine finish and counts), for groups
+  // of every size and a true column inside and outside the tile.
+  using namespace math::kernels;
+  for (Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    const KernelTable& kt = Table(backend);
+    for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u}) {
+      const size_t cols = 45;
+      const math::Matrix a = RandomMatrix(kRankGroup, dim, 700 + dim);
+      math::Matrix b = RandomMatrix(cols, dim, 800 + dim);
+      for (size_t j = 0; j < kRankGroup; ++j) CopyRowTo(a, j, b, 5 * j);
+      std::vector<float> na(kRankGroup), nb(cols);
+      for (size_t r = 0; r < kRankGroup; ++r) {
+        na[r] = std::sqrt(kt.squared_l2(a.Row(r).data(), dim));
+      }
+      for (size_t j = 0; j < cols; ++j) {
+        nb[j] = std::sqrt(kt.squared_l2(b.Row(j).data(), dim));
+      }
+      std::vector<float> scratch(kRankGroup * dim);
+      for (size_t count = 1; count <= kRankGroup; ++count) {
+        const float* rows[kRankGroup];
+        float true_vals[kRankGroup];
+        size_t true_pos[kRankGroup];
+        ScanCounts want[kRankGroup];
+        for (size_t r = 0; r < count; ++r) {
+          rows[r] = a.Row(r).data();
+          // Row r ranks against its own copy (a tie of 1 with itself),
+          // except the last row, whose true column lies outside the tile.
+          true_pos[r] = r + 1 < count ? 5 * r : cols + 3;
+          std::vector<float> cells(cols);
+          kt.dot_rows(rows[r], b.Row(0).data(), dim, cells.data(), cols, dim);
+          ScanEpilogue tile;
+          tile.finish = CellFinish::kCosine;
+          tile.na = na[r];
+          tile.tgt_norms = nb.data();
+          kt.scan_epilogue(tile, cells.data(), cols, nullptr);
+          true_vals[r] = true_pos[r] < cols ? cells[true_pos[r]] : 0.5f;
+          tile.finish = CellFinish::kNone;
+          tile.count_true = true;
+          tile.true_val = true_vals[r];
+          tile.true_pos = true_pos[r];
+          kt.scan_epilogue(tile, cells.data(), cols, &want[r]);
+        }
+        RankTile tile;
+        tile.count = count;
+        tile.rows = rows;
+        tile.row_norms = na.data();
+        tile.true_vals = true_vals;
+        tile.true_pos = true_pos;
+        tile.b = b.Row(0).data();
+        tile.ldb = dim;
+        tile.tgt_norms = nb.data();
+        tile.cols = cols;
+        tile.n = dim;
+        tile.scratch = scratch.data();
+        ScanCounts got[kRankGroup];
+        kt.rank_cosine(tile, got);
+        for (size_t r = 0; r < count; ++r) {
+          const std::string where =
+              std::string(BackendName(backend)) + " dim=" +
+              std::to_string(dim) + " count=" + std::to_string(count) +
+              " row=" + std::to_string(r);
+          EXPECT_EQ(got[r].greater, want[r].greater) << where;
+          EXPECT_EQ(got[r].ties, want[r].ties) << where;
+          EXPECT_EQ(got[r].nan, want[r].nan) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(RankCosineKernelTest, MarginIsTheDerivedBound) {
+  // DESIGN.md: about (4n + 10) u to first order, u = 2^-24, and +inf past
+  // the guarded width.
+  using math::kernels::RankMargin;
+  for (size_t n : {1u, 8u, 32u, 128u, 4096u}) {
+    const double first_order = (4.0 * static_cast<double>(n) + 10.0) * 0x1p-24;
+    EXPECT_GT(RankMargin(n), first_order) << "n=" << n;
+    EXPECT_LT(RankMargin(n), 1.01 * first_order + 0x1p-40) << "n=" << n;
+  }
+  EXPECT_EQ(RankMargin(math::kernels::kRankMaxDim + 1),
+            std::numeric_limits<double>::infinity());
+  float lo = 0.0f, hi = 0.0f;
+  math::kernels::RankBand(0.5f, RankMargin(32), &lo, &hi);
+  EXPECT_LE(static_cast<double>(hi), 0.5 + RankMargin(32) + 0x1p-24);
+  EXPECT_GE(static_cast<double>(hi), 0.5 + RankMargin(32));
+  EXPECT_LE(static_cast<double>(lo), 0.5 - RankMargin(32));
 }
 
 }  // namespace
