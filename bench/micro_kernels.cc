@@ -4,6 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "src/align/inference.h"
 #include "src/align/similarity.h"
 #include "src/align/topk.h"
@@ -15,6 +20,7 @@
 #include "src/kg/graph_stats.h"
 #include "src/math/embedding_table.h"
 #include "src/math/kernels.h"
+#include "src/math/kernels_internal.h"
 #include "src/math/matrix.h"
 #include "src/math/vec.h"
 
@@ -393,24 +399,48 @@ BENCHMARK(BM_TopKStreaming)
     ->Args({800, 0})
     ->Args({800, 1});
 
-// The ranking scan of the evaluation protocol: EvaluateRanking over n
-// planted pairs of width `dim` (cosine, no CSLS), n x n cells per call.
-void BM_EvaluateRanking(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t dim = static_cast<size_t>(state.range(1));
+// n planted pairs of width `dim`: row i of emb1 is row i of emb2 plus
+// noise, so the true cell of every row is its diagonal.
+core::AlignmentModel PlantedPairs(size_t n, size_t dim) {
   Rng rng(7);
   core::AlignmentModel model;
   model.emb1 = math::Matrix(n, dim);
   model.emb2 = math::Matrix(n, dim);
   model.emb2.FillUniform(rng, 1.0f);
-  kg::Alignment pairs(n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t d = 0; d < dim; ++d) {
       model.emb1.Row(i)[d] =
           model.emb2.Row(i)[d] + 0.5f * rng.NextFloat(-1, 1);
     }
+  }
+  return model;
+}
+
+/// The lane count of the `rank_cosine` body the scan runs ("lanes:8" or
+/// "lanes:16"), or "scalar". With more than one thread the scan's row
+/// chunks hold 8 rows, which the 16-lane body hands to the 8-lane one.
+std::string RankBodyLabel() {
+  const auto active = math::kernels::Active().rank_cosine;
+  if (active == math::kernels::RankCosineBodyForTesting(16)) {
+    return Threads() > 1 ? "lanes:8" : "lanes:16";
+  }
+  if (active == math::kernels::RankCosineBodyForTesting(8)) return "lanes:8";
+  return "scalar";
+}
+
+// The ranking scan of the evaluation protocol: EvaluateRanking over n
+// planted pairs of width `dim` (cosine, no CSLS), n x n cells per call,
+// through the body the kernel table picked for this CPU, at the default
+// thread count (OPENEA_THREADS).
+void BM_EvaluateRanking(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const core::AlignmentModel model = PlantedPairs(n, dim);
+  kg::Alignment pairs(n);
+  for (size_t i = 0; i < n; ++i) {
     pairs[i] = {static_cast<kg::EntityId>(i), static_cast<kg::EntityId>(i)};
   }
+  state.SetLabel(RankBodyLabel());
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval::EvaluateRanking(
         model, pairs, align::DistanceMetric::kCosine));
@@ -421,6 +451,69 @@ BENCHMARK(BM_EvaluateRanking)
     ->ArgNames({"n", "dim"})
     ->Args({10500, 32})
     ->Args({2100, 128})
+    ->Unit(benchmark::kMillisecond);
+
+// The decision kernel of that scan alone, body by body: every group of
+// kRankGroup rows of the planted pairs against all n targets through the
+// 8-lane or the 16-lane body of the AVX2 table, n x n cells per call. A
+// body this CPU lacks is reported as skipped.
+void BM_RankCosine(benchmark::State& state) {
+  using namespace math::kernels;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = static_cast<size_t>(state.range(1));
+  const size_t lanes = static_cast<size_t>(state.range(2));
+  const RankCosineFn body = RankCosineBodyForTesting(lanes);
+  if (body == nullptr) {
+    state.SkipWithError("this rank_cosine body does not run on this CPU");
+    return;
+  }
+  const core::AlignmentModel model = PlantedPairs(n, dim);
+  const KernelTable& kt = Table(Backend::kAvx2);
+  std::vector<float> na(n), nb(n), true_vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    na[i] = std::sqrt(kt.squared_l2(model.emb1.Row(i).data(), dim));
+    nb[i] = std::sqrt(kt.squared_l2(model.emb2.Row(i).data(), dim));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    true_vals[i] = kt.dot(model.emb1.Row(i).data(), model.emb2.Row(i).data(),
+                          dim) /
+                   (na[i] * nb[i]);
+  }
+  std::vector<float> scratch(kRankGroup * dim);
+  std::vector<size_t> true_pos(n);
+  for (size_t i = 0; i < n; ++i) true_pos[i] = i;
+  std::vector<const float*> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = model.emb1.Row(i).data();
+  state.SetLabel("lanes:" + std::to_string(lanes));
+  for (auto _ : state) {
+    uint64_t greater = 0;
+    for (size_t first = 0; first < n; first += kRankGroup) {
+      RankTile tile;
+      tile.count = std::min(kRankGroup, n - first);
+      tile.rows = rows.data() + first;
+      tile.row_norms = na.data() + first;
+      tile.true_vals = true_vals.data() + first;
+      tile.true_pos = true_pos.data() + first;
+      tile.b = model.emb2.Row(0).data();
+      tile.ldb = dim;
+      tile.tgt_norms = nb.data();
+      tile.cols = n;
+      tile.n = dim;
+      tile.scratch = scratch.data();
+      ScanCounts counts[kRankGroup];
+      body(tile, counts);
+      for (size_t g = 0; g < tile.count; ++g) greater += counts[g].greater;
+    }
+    benchmark::DoNotOptimize(greater);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * n));
+}
+BENCHMARK(BM_RankCosine)
+    ->ArgNames({"n", "dim", "lanes"})
+    ->Args({10500, 32, 8})
+    ->Args({10500, 32, 16})
+    ->Args({2100, 128, 8})
+    ->Args({2100, 128, 16})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ApplyCsls(benchmark::State& state) {

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/math/kernels_internal.h"
+
 namespace openea::math::kernels {
 namespace {
 
@@ -264,6 +266,16 @@ bool CpuHasAvx2Fma() {
 #endif
 }
 
+#ifdef OPENEA_HAVE_AVX2_KERNELS
+/// Whether the AVX2 table's `rank_cosine` is the 16-lane body: the CPU runs
+/// AVX-512F code (__builtin_cpu_supports also checks that the OS saves the
+/// zmm state). Probed once.
+bool Avx512FSupported() {
+  static const bool supported = __builtin_cpu_supports("avx512f");
+  return supported;
+}
+#endif
+
 /// Startup selection: capability probe, then the OPENEA_KERNELS override.
 Backend SelectBackend() {
   const bool avx2_ok = Avx2Supported();
@@ -334,8 +346,12 @@ void RankBand(float true_val, double margin, float* lo, float* hi) {
 }
 
 #ifdef OPENEA_HAVE_AVX2_KERNELS
-// Defined in kernels_avx2.cc (the only TU compiled with -mavx2 -mfma).
-const KernelTable& Avx2KernelTable();
+// Defined in kernels_avx2.cc (the only TU compiled with -mavx2 -mfma): the
+// address of one of its two constant tables, the second with the 16-lane
+// rank body, which is compiled for AVX-512F by target attributes. Called
+// only after Avx2Supported(), and with `avx512f` only after
+// Avx512FSupported(): nothing in that TU runs before the probes pass.
+const KernelTable& Avx2KernelTable(bool avx512f);
 #endif
 
 const char* BackendName(Backend backend) {
@@ -358,7 +374,7 @@ bool Avx2Supported() {
 const KernelTable& Table(Backend backend) {
 #ifdef OPENEA_HAVE_AVX2_KERNELS
   if (backend == Backend::kAvx2 && Avx2Supported()) {
-    return Avx2KernelTable();
+    return Avx2KernelTable(Avx512FSupported());
   }
 #else
   (void)backend;
@@ -372,9 +388,24 @@ const KernelTable& Active() {
 
 Backend ActiveBackend() {
 #ifdef OPENEA_HAVE_AVX2_KERNELS
-  if (&Active() == &Avx2KernelTable()) return Backend::kAvx2;
+  if (Avx2Supported() && &Active() == &Table(Backend::kAvx2)) {
+    return Backend::kAvx2;
+  }
 #endif
   return Backend::kScalar;
+}
+
+RankCosineFn RankCosineBodyForTesting(size_t lanes) {
+#ifdef OPENEA_HAVE_AVX2_KERNELS
+  if (Avx2Supported()) {
+    if (lanes == 8) return Avx2KernelTable(false).rank_cosine;
+    if (lanes == 16 && Avx512FSupported()) {
+      return Avx2KernelTable(true).rank_cosine;
+    }
+  }
+#endif
+  (void)lanes;
+  return nullptr;
 }
 
 bool SetBackendForTesting(Backend backend) {

@@ -12,7 +12,9 @@ namespace openea::math::kernels {
 /// function pointers below, the way ATen selects per-arch kernels: a scalar
 /// reference table (bit-identical to the historical hand-rolled loops) and
 /// an AVX2/FMA table compiled into its own translation unit with -mavx2
-/// -mfma. The backend is selected exactly once, before the first kernel
+/// -mfma (its `rank_cosine` runs a 16-lane AVX-512F body, compiled by
+/// function target attributes, on CPUs that have it; kernels_avx2.cc).
+/// The backend is selected exactly once, before the first kernel
 /// call, from CPUID — overridable with OPENEA_KERNELS=scalar|avx2 — and
 /// reported through telemetry as the `kernels` config key / the
 /// `kernels/backend` gauge in every bench JSON.
@@ -82,8 +84,9 @@ struct ScanCounts {
   uint32_t ties = 0;     // Cells == true_val.
 };
 
-/// Source rows per `rank_cosine` group (one AVX2 lane each).
-constexpr size_t kRankGroup = 8;
+/// Source rows per `rank_cosine` group: one AVX-512 lane each, or two
+/// halves of one AVX2 lane each on CPUs without AVX-512F.
+constexpr size_t kRankGroup = 16;
 /// The guard of `rank_cosine`: every row and target norm must lie in
 /// [kRankMinNorm, kRankMaxNorm] (so no dot product, norm or scaling
 /// overflows and the cosine's 1e-12 degenerate guard never fires), every

@@ -2,7 +2,12 @@
 // is the only translation unit compiled with -mavx2 -mfma (see
 // src/CMakeLists.txt); nothing in it may be reached except through the
 // table returned by Avx2KernelTable(), which kernels.cc only hands out
-// after the CPUID probe passed.
+// after the CPUID probe passed. The 16-lane body of the ranking kernel is
+// the one exception to the file's ISA: its functions carry
+// __attribute__((target("avx512f"))), and only the second of the file's
+// two constant tables holds it, which kernels.cc hands out only when its
+// CPUID probe also reported avx512f (tests reach both ranking bodies
+// through src/math/kernels_internal.h).
 //
 // Bitwise contract (kernels.h): elementwise kernels perform the same IEEE
 // operation per lane as the scalar backend — multiply then add/sub, never
@@ -17,12 +22,14 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 
 #include "src/math/kernels.h"
+#include "src/math/kernels_internal.h"
 
 namespace openea::math::kernels {
 namespace {
@@ -345,21 +352,94 @@ void Avx2ScanEpilogue(const ScanEpilogue& tile, float* cells, size_t count,
 // decision"). The group's rows are packed dim-major into the scratch, one
 // row per lane, and the targets are read in place: per dim, one load of the
 // packed rows and one broadcast per target feed one FMA accumulator per
-// target, so a block of kRankBlock targets yields 8 x kRankBlock decision
-// values with no horizontal sums. Each accumulator is scaled by the rows'
-// and the target's reciprocal norms and compared with the rows' bands: a
-// cell above its band counts as greater, one below is dropped, and one
-// inside it (or NaN) is computed exactly, as dot_rows and the kCosine
+// target, so a block of kRankBlock targets yields lanes x kRankBlock
+// decision values with no horizontal sums. Each accumulator is scaled by
+// the rows' and the target's reciprocal norms and compared with the rows'
+// bands: a cell above its band counts as greater, one below is dropped, and
+// one inside it (or NaN) is computed exactly, as dot_rows and the kCosine
 // epilogue compute it (CellOf is dot_rows' per-row float).
+//
+// The body is written once over a lane policy: Avx2Lanes holds 8 rows in a
+// __m256, Avx512Lanes 16 rows in a __m512. The 16-lane instantiation is
+// compiled for AVX-512F by the target attributes on its policy and on its
+// entry point, RankCosine16, which only the table kAvx2Avx512Table holds;
+// kernels.cc hands that table out only after CPUID reported avx512f. The
+// policies take and give vectors by reference: a __m512 passed by value
+// through a function not compiled for AVX-512 would change the calling
+// convention.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kRankBlock = 8;  // Targets per register block.
 
 /// Per-lane constants of a group; lanes past the group's rows have zero
 /// rows and a band of [+inf, +inf], so every cell of theirs is dropped.
+template <class L>
 struct RankLanes {
-  __m256 inv_na, lo, hi;
+  typename L::Vec inv_na, lo, hi;
 };
+
+struct Avx2Lanes {
+  static constexpr size_t kRows = 8;
+  using Vec = __m256;
+  using Tally = __m256i;  // Cells above the band, one count per lane.
+  static void Zero(Vec& v) { v = _mm256_setzero_ps(); }
+  static void Load(Vec& v, const float* p) { v = _mm256_loadu_ps(p); }
+  /// acc += p * (*b) in every lane.
+  static void Fma(Vec& acc, const Vec& p, const float* b) {
+    acc = _mm256_fmadd_ps(p, _mm256_broadcast_ss(b), acc);
+  }
+  /// Scales acc to the decision values, adds the lanes above their band to
+  /// `greater` and returns the mask of the lanes inside it (or NaN).
+  static unsigned Decide(const Vec& acc, const RankLanes<Avx2Lanes>& lanes,
+                         const float* inv_nb, Tally& greater) {
+    const __m256 x = _mm256_mul_ps(_mm256_mul_ps(acc, lanes.inv_na),
+                                   _mm256_broadcast_ss(inv_nb));
+    const __m256 above = _mm256_cmp_ps(x, lanes.hi, _CMP_GT_OQ);
+    const __m256 below = _mm256_cmp_ps(x, lanes.lo, _CMP_LT_OQ);
+    greater = _mm256_sub_epi32(greater, _mm256_castps_si256(above));
+    return ~static_cast<unsigned>(
+               _mm256_movemask_ps(_mm256_or_ps(above, below))) &
+           0xFFu;
+  }
+  static void ZeroTally(Tally& t) { t = _mm256_setzero_si256(); }
+  static void StoreTally(uint32_t* out, const Tally& t) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), t);
+  }
+};
+
+#define OPENEA_AVX512 __attribute__((target("avx512f")))
+
+struct Avx512Lanes {
+  static constexpr size_t kRows = 16;
+  using Vec = __m512;
+  using Tally = __m512i;
+  OPENEA_AVX512 static void Zero(Vec& v) { v = _mm512_setzero_ps(); }
+  OPENEA_AVX512 static void Load(Vec& v, const float* p) {
+    v = _mm512_loadu_ps(p);
+  }
+  // The broadcast folds into the FMA as an embedded {1to16} operand.
+  OPENEA_AVX512 static void Fma(Vec& acc, const Vec& p, const float* b) {
+    acc = _mm512_fmadd_ps(p, _mm512_set1_ps(*b), acc);
+  }
+  OPENEA_AVX512 static unsigned Decide(const Vec& acc,
+                                       const RankLanes<Avx512Lanes>& lanes,
+                                       const float* inv_nb, Tally& greater) {
+    const __m512 x = _mm512_mul_ps(_mm512_mul_ps(acc, lanes.inv_na),
+                                   _mm512_set1_ps(*inv_nb));
+    const __mmask16 above = _mm512_cmp_ps_mask(x, lanes.hi, _CMP_GT_OQ);
+    const __mmask16 below = _mm512_cmp_ps_mask(x, lanes.lo, _CMP_LT_OQ);
+    greater = _mm512_mask_sub_epi32(greater, above, greater,
+                                    _mm512_set1_epi32(-1));
+    return ~static_cast<unsigned>(above | below) & 0xFFFFu;
+  }
+  OPENEA_AVX512 static void ZeroTally(Tally& t) { t = _mm512_setzero_si512(); }
+  OPENEA_AVX512 static void StoreTally(uint32_t* out, const Tally& t) {
+    _mm512_storeu_si512(out, t);
+  }
+};
+
+static_assert(Avx512Lanes::kRows == kRankGroup,
+              "the 16-lane body takes a whole group");
 
 inline float CosineCell(float dot, float na, float nb) {
   return (na < 1e-12f || nb < 1e-12f) ? 0.0f : dot / (na * nb);
@@ -383,34 +463,26 @@ inline void TallyCell(float v, float true_val, ScanCounts& counts) {
 /// margin of its own exact cell), so skipping it among the undecided cells
 /// keeps it out of the counts. kWidth: the row length when it is a
 /// compile-time constant.
-template <size_t kTargets, size_t kWidth>
+template <class L, size_t kTargets, size_t kWidth>
 __attribute__((always_inline)) inline void RankBlock(
-    const RankTile& tile, const RankLanes& lanes, size_t n, size_t col,
-    const float* inv_nb, __m256i& greater, ScanCounts* counts) {
+    const RankTile& tile, const RankLanes<L>& lanes, size_t n,
+    size_t col, const float* inv_nb, typename L::Tally& greater,
+    ScanCounts* counts) {
   const size_t ldb = tile.ldb;
   const float* b = tile.b + col * ldb;
   const float* packed = tile.scratch;
   const size_t dims = kWidth != 0 ? kWidth : n;
-  __m256 acc[kTargets];
-  for (size_t k = 0; k < kTargets; ++k) acc[k] = _mm256_setzero_ps();
+  typename L::Vec acc[kTargets];
+  for (size_t k = 0; k < kTargets; ++k) L::Zero(acc[k]);
   for (size_t d = 0; d < dims; ++d) {
-    const __m256 p = _mm256_loadu_ps(packed + d * kLanes);
+    typename L::Vec p;
+    L::Load(p, packed + d * L::kRows);
 #pragma GCC unroll 8
-    for (size_t k = 0; k < kTargets; ++k) {
-      acc[k] = _mm256_fmadd_ps(p, _mm256_broadcast_ss(b + k * ldb + d),
-                               acc[k]);
-    }
+    for (size_t k = 0; k < kTargets; ++k) L::Fma(acc[k], p, b + k * ldb + d);
   }
 #pragma GCC unroll 8
   for (size_t k = 0; k < kTargets; ++k) {
-    const __m256 x = _mm256_mul_ps(_mm256_mul_ps(acc[k], lanes.inv_na),
-                                   _mm256_broadcast_ss(inv_nb + k));
-    const __m256 above = _mm256_cmp_ps(x, lanes.hi, _CMP_GT_OQ);
-    const __m256 below = _mm256_cmp_ps(x, lanes.lo, _CMP_LT_OQ);
-    greater = _mm256_sub_epi32(greater, _mm256_castps_si256(above));
-    unsigned undecided =
-        ~static_cast<unsigned>(_mm256_movemask_ps(_mm256_or_ps(above, below))) &
-        0xFFu;
+    unsigned undecided = L::Decide(acc[k], lanes, inv_nb + k, greater);
     while (undecided != 0) {
       const unsigned r = static_cast<unsigned>(__builtin_ctz(undecided));
       undecided &= undecided - 1;
@@ -423,55 +495,91 @@ __attribute__((always_inline)) inline void RankBlock(
   }
 }
 
-template <size_t kWidth>
-void RankCosineOf(const RankTile& tile, ScanCounts* counts) {
+/// One group of up to L::kRows rows against every target of the tile.
+template <class L, size_t kWidth>
+__attribute__((always_inline)) inline void RankCosineOf(const RankTile& tile,
+                                                        ScanCounts* counts) {
+  constexpr size_t kRows = L::kRows;
   const size_t n = kWidth != 0 ? kWidth : tile.n;
   const size_t cols = tile.cols;
   float* packed = tile.scratch;
   for (size_t d = 0; d < n; ++d) {
-    for (size_t r = 0; r < kLanes; ++r) {
-      packed[d * kLanes + r] = r < tile.count ? tile.rows[r][d] : 0.0f;
+    for (size_t r = 0; r < kRows; ++r) {
+      packed[d * kRows + r] = r < tile.count ? tile.rows[r][d] : 0.0f;
     }
   }
-  alignas(32) float inv_na[kLanes], lo[kLanes], hi[kLanes];
+  float inv_na[kRows], lo[kRows], hi[kRows];
   const double margin = RankMargin(n);
-  for (size_t r = 0; r < kLanes; ++r) {
+  for (size_t r = 0; r < kRows; ++r) {
     inv_na[r] = 0.0f;
     lo[r] = hi[r] = std::numeric_limits<float>::infinity();
     if (r >= tile.count) continue;
     inv_na[r] = 1.0f / tile.row_norms[r];
     RankBand(tile.true_vals[r], margin, &lo[r], &hi[r]);
   }
-  const RankLanes lanes{_mm256_load_ps(inv_na), _mm256_load_ps(lo),
-                        _mm256_load_ps(hi)};
-  __m256i greater = _mm256_setzero_si256();
-  alignas(32) float inv_nb[kRankBlock];
-  const __m256 one = _mm256_set1_ps(1.0f);
+  RankLanes<L> lanes;
+  L::Load(lanes.inv_na, inv_na);
+  L::Load(lanes.lo, lo);
+  L::Load(lanes.hi, hi);
+  typename L::Tally greater;
+  L::ZeroTally(greater);
+  float inv_nb[kRankBlock];
   size_t col = 0;
   for (; col + kRankBlock <= cols; col += kRankBlock) {
-    _mm256_store_ps(inv_nb,
-                    _mm256_div_ps(one, _mm256_loadu_ps(tile.tgt_norms + col)));
-    RankBlock<kRankBlock, kWidth>(tile, lanes, n, col, inv_nb, greater,
-                                  counts);
+    for (size_t k = 0; k < kRankBlock; ++k) {
+      inv_nb[k] = 1.0f / tile.tgt_norms[col + k];
+    }
+    RankBlock<L, kRankBlock, kWidth>(tile, lanes, n, col, inv_nb, greater,
+                                     counts);
   }
   // The last targets, one at a time.
   for (; col < cols; ++col) {
     inv_nb[0] = 1.0f / tile.tgt_norms[col];
-    RankBlock<1, kWidth>(tile, lanes, n, col, inv_nb, greater, counts);
+    RankBlock<L, 1, kWidth>(tile, lanes, n, col, inv_nb, greater, counts);
   }
-  alignas(32) uint32_t tally[kLanes];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(tally), greater);
+  uint32_t tally[kRows];
+  L::StoreTally(tally, greater);
   for (size_t r = 0; r < tile.count; ++r) counts[r].greater += tally[r];
 }
 
-void Avx2RankCosine(const RankTile& tile, ScanCounts* counts) {
-  // At the default width the dim loop unrolls (as in RowsOf).
+/// At the default width the dim loop unrolls (as in RowsOf).
+template <class L>
+__attribute__((always_inline)) inline void RankCosineAtWidth(
+    const RankTile& tile, ScanCounts* counts) {
   if (tile.n == kDefaultWidth) {
-    RankCosineOf<kDefaultWidth>(tile, counts);
+    RankCosineOf<L, kDefaultWidth>(tile, counts);
   } else {
-    RankCosineOf<0>(tile, counts);
+    RankCosineOf<L, 0>(tile, counts);
   }
 }
+
+/// The 8-lane body: a group of kRankGroup rows as two halves of eight.
+void RankCosine8(const RankTile& tile, ScanCounts* counts) {
+  for (size_t first = 0; first < tile.count; first += Avx2Lanes::kRows) {
+    RankTile half = tile;
+    half.count = std::min(tile.count - first, Avx2Lanes::kRows);
+    half.rows += first;
+    half.row_norms += first;
+    half.true_vals += first;
+    half.true_pos += first;
+    RankCosineAtWidth<Avx2Lanes>(half, counts + first);
+  }
+}
+
+/// The 16-lane body: the whole group in one pass over the targets. A group
+/// of at most eight rows takes the 8-lane body, which decides it in the
+/// same one pass without the padded half of the zmm lanes (with more than
+/// one thread StreamingTopK's row chunks hold eight rows, so every group
+/// is such a group).
+OPENEA_AVX512 void RankCosine16(const RankTile& tile, ScanCounts* counts) {
+  if (tile.count <= Avx2Lanes::kRows) {
+    RankCosine8(tile, counts);
+    return;
+  }
+  RankCosineAtWidth<Avx512Lanes>(tile, counts);
+}
+
+#undef OPENEA_AVX512
 
 // ---------------------------------------------------------------------------
 // Elementwise: multiply then add/sub (no FMA) — bit-identical to scalar.
@@ -674,7 +782,7 @@ constexpr KernelTable kAvx2Table = {
     /*squared_l2_distance_rows=*/RowsOf<SquaredL2DistanceOp>,
     /*l1_distance_rows=*/RowsOf<L1DistanceOp>,
     /*scan_epilogue=*/Avx2ScanEpilogue,
-    /*rank_cosine=*/Avx2RankCosine,
+    /*rank_cosine=*/RankCosine8,
     /*axpy=*/Avx2Axpy,
     /*scale=*/Avx2Scale,
     /*add=*/Avx2Add,
@@ -687,9 +795,18 @@ constexpr KernelTable kAvx2Table = {
     /*translation_update=*/Avx2TranslationUpdate,
 };
 
+/// kAvx2Table with the 16-lane rank body, for CPUs with AVX-512F.
+constexpr KernelTable kAvx2Avx512Table = [] {
+  KernelTable table = kAvx2Table;
+  table.rank_cosine = RankCosine16;
+  return table;
+}();
+
 }  // namespace
 
-const KernelTable& Avx2KernelTable() { return kAvx2Table; }
+const KernelTable& Avx2KernelTable(bool avx512f) {
+  return avx512f ? kAvx2Avx512Table : kAvx2Table;
+}
 
 }  // namespace openea::math::kernels
 

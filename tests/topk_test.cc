@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -25,6 +26,7 @@
 #include "src/common/rng.h"
 #include "src/eval/metrics.h"
 #include "src/math/kernels.h"
+#include "src/math/kernels_internal.h"
 #include "src/math/sharded_table.h"
 
 namespace openea::align {
@@ -536,8 +538,138 @@ TEST_F(ScanEpilogueTest, ColumnCountsThatAreNotMultiplesOfEight) {
 // ranking scan (k = 0, no CSLS) counts greater and tied cells through the
 // bound kernel `rank_cosine`, which computes exact cells only near each
 // row's true cell. Every case checks the counts against the dense exact
-// cells at 1, 2 and 4 threads, in RAM and over banks of 5, 8 and 13 rows.
+// cells at 1, 2 and 4 threads, in RAM and over banks of 5, 8, 13, 16 and 17
+// rows, and runs each body of the AVX2 table's kernel that this CPU has (8
+// lanes; 16 with AVX-512F) by itself against the AVX2 exact scan.
 // ---------------------------------------------------------------------------
+
+/// Every cosine cell of row `a` (norm `na`) against `cols` targets at `b`
+/// (norms `nb`), as `kt`'s exact scan computes them: dot_rows, then the
+/// epilogue's kCosine finish.
+std::vector<float> ExactCosineCells(const math::kernels::KernelTable& kt,
+                                    const float* a, float na, const float* b,
+                                    const float* nb, size_t cols,
+                                    size_t dim) {
+  std::vector<float> cells(cols);
+  kt.dot_rows(a, b, dim, cells.data(), cols, dim);
+  math::kernels::ScanEpilogue tile;
+  tile.finish = math::kernels::CellFinish::kCosine;
+  tile.na = na;
+  tile.tgt_norms = nb;
+  kt.scan_epilogue(tile, cells.data(), cols, nullptr);
+  return cells;
+}
+
+/// The epilogue's NaN, greater and tie tallies of finished `cells` against
+/// `true_val`, skipping `true_pos` (a position past the cells skips none).
+math::kernels::ScanCounts ExactCounts(const math::kernels::KernelTable& kt,
+                                      std::vector<float> cells,
+                                      float true_val, size_t true_pos) {
+  math::kernels::ScanEpilogue tile;
+  tile.count_true = true;
+  tile.true_val = true_val;
+  tile.true_pos = true_pos;
+  math::kernels::ScanCounts counts;
+  kt.scan_epilogue(tile, cells.data(), cells.size(), &counts);
+  return counts;
+}
+
+/// The bodies of the AVX2 table's `rank_cosine` that this CPU runs, by
+/// their lane counts.
+std::vector<std::pair<size_t, math::kernels::RankCosineFn>> RankBodies() {
+  std::vector<std::pair<size_t, math::kernels::RankCosineFn>> bodies;
+  for (size_t lanes : {size_t{8}, size_t{16}}) {
+    if (auto body = math::kernels::RankCosineBodyForTesting(lanes)) {
+      bodies.emplace_back(lanes, body);
+    }
+  }
+  return bodies;
+}
+
+/// Runs `body` over a cosine ranking of `src` against `tgt` the way
+/// StreamingTopK groups it: banks of `bank_rows` targets whose norms all lie
+/// in the kernel's guard, and in each bank the rows inside the guard,
+/// kRankGroup at a time. Checks every decided row's tallies against the
+/// AVX2 backend's exact scan of the same bank.
+void ExpectBodyMatchesExactScan(math::kernels::RankCosineFn body,
+                                const math::Matrix& src,
+                                const math::Matrix& tgt,
+                                const std::vector<int>& true_cols,
+                                size_t bank_rows, const std::string& label) {
+  using namespace math::kernels;
+  const KernelTable& kt = Table(Backend::kAvx2);
+  const size_t rows = src.rows(), cols = tgt.rows(), dim = src.cols();
+  auto in_guard = [](float norm) {
+    return norm >= kRankMinNorm && norm <= kRankMaxNorm;
+  };
+  std::vector<float> na(rows), nb(cols), true_vals(rows);
+  for (size_t j = 0; j < cols; ++j) {
+    nb[j] = std::sqrt(kt.squared_l2(tgt.Row(j).data(), dim));
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    na[i] = std::sqrt(kt.squared_l2(src.Row(i).data(), dim));
+    true_vals[i] = ExactCosineCells(kt, src.Row(i).data(), na[i],
+                                    tgt.Row(0).data(), nb.data(), cols,
+                                    dim)[static_cast<size_t>(true_cols[i])];
+  }
+  std::vector<float> scratch(kRankGroup * dim);
+  for (size_t first = 0; first < cols; first += bank_rows) {
+    const size_t bank = std::min(bank_rows, cols - first);
+    if (!std::all_of(nb.begin() + static_cast<long>(first),
+                     nb.begin() + static_cast<long>(first + bank), in_guard)) {
+      continue;
+    }
+    const float* b = tgt.Row(first).data();
+    std::vector<size_t> group;
+    auto flush = [&] {
+      if (group.empty()) return;
+      const float* group_rows[kRankGroup];
+      float norms[kRankGroup], trues[kRankGroup];
+      size_t pos[kRankGroup];
+      for (size_t g = 0; g < group.size(); ++g) {
+        group_rows[g] = src.Row(group[g]).data();
+        norms[g] = na[group[g]];
+        trues[g] = true_vals[group[g]];
+        pos[g] = static_cast<size_t>(true_cols[group[g]]) - first;
+      }
+      RankTile tile;
+      tile.count = group.size();
+      tile.rows = group_rows;
+      tile.row_norms = norms;
+      tile.true_vals = trues;
+      tile.true_pos = pos;
+      tile.b = b;
+      tile.ldb = dim;
+      tile.tgt_norms = nb.data() + first;
+      tile.cols = bank;
+      tile.n = dim;
+      tile.scratch = scratch.data();
+      ScanCounts got[kRankGroup];
+      body(tile, got);
+      for (size_t g = 0; g < group.size(); ++g) {
+        const ScanCounts want = ExactCounts(
+            kt,
+            ExactCosineCells(kt, group_rows[g], norms[g], b, tile.tgt_norms,
+                             bank, dim),
+            trues[g], pos[g]);
+        const std::string where = label + " bank_rows=" +
+                                  std::to_string(bank_rows) + " first=" +
+                                  std::to_string(first) +
+                                  " row=" + std::to_string(group[g]);
+        EXPECT_EQ(got[g].greater, want.greater) << where;
+        EXPECT_EQ(got[g].ties, want.ties) << where;
+        EXPECT_EQ(got[g].nan, want.nan) << where;
+      }
+      group.clear();
+    };
+    for (size_t i = 0; i < rows; ++i) {
+      if (!in_guard(na[i]) || !(std::fabs(true_vals[i]) <= 2.0f)) continue;
+      group.push_back(i);
+      if (group.size() == kRankGroup) flush();
+    }
+    flush();
+  }
+}
 
 class RankByDecisionTest : public ScanEpilogueTest {
  protected:
@@ -554,7 +686,15 @@ class RankByDecisionTest : public ScanEpilogueTest {
                          const std::vector<int>& true_cols,
                          const std::string& label) {
     ExpectScansMatchDense(src, tgt, Ranking(true_cols), label, {1, 2, 4},
-                          {5, 8, 13});
+                          {5, 8, 13, 16, 17});
+    for (const auto& [lanes, body] : RankBodies()) {
+      for (size_t bank_rows : {tgt.rows(), size_t{5}, size_t{8}, size_t{13},
+                               size_t{16}, size_t{17}}) {
+        ExpectBodyMatchesExactScan(
+            body, src, tgt, true_cols, bank_rows,
+            label + " lanes=" + std::to_string(lanes));
+      }
+    }
   }
 
   /// `v` scaled so that its float L2 norm is `norm` within a few ulps.
@@ -687,11 +827,13 @@ TEST_F(RankByDecisionTest, NanInfAndZeroRowsAndTargets) {
 }
 
 TEST_F(RankByDecisionTest, RaggedShapesAtEveryWidth) {
-  // Row counts and bank sizes that are not multiples of 8, a single
-  // target, and true columns in every lane and block position.
+  // Row counts just under, at and past one group of 8 and of 16 and past
+  // two, bank sizes that are not multiples of 8, a single target, and true
+  // columns in every lane and block position.
   for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u}) {
     for (const auto& [rows, cols] :
-         {std::pair<size_t, size_t>{1, 1}, {7, 9}, {9, 17}, {17, 70}}) {
+         {std::pair<size_t, size_t>{1, 1}, {7, 9}, {9, 17}, {15, 41},
+          {16, 41}, {17, 70}, {33, 41}}) {
       const math::Matrix src = RandomMatrix(rows, dim, 500 + dim + rows);
       math::Matrix tgt = RandomMatrix(cols, dim, 600 + dim + cols);
       // Copies give each row's true cell a tie somewhere.
@@ -708,75 +850,87 @@ TEST_F(RankByDecisionTest, RaggedShapesAtEveryWidth) {
   }
 }
 
+/// `rank` against `kt`'s exact scan (dot_rows plus the epilogue's
+/// kCosine finish and counts), for groups of every size from 1 to
+/// kRankGroup and a true column inside and outside the tile.
+void ExpectRankKernelMatchesExactScan(const math::kernels::KernelTable& kt,
+                                      math::kernels::RankCosineFn rank,
+                                      const std::string& name) {
+  using namespace math::kernels;
+  for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u}) {
+    // Row j of the group is copied to column 5j, so the tile holds every
+    // row's copy whatever the group size.
+    const size_t cols = 5 * kRankGroup + 5;
+    const math::Matrix a = RandomMatrix(kRankGroup, dim, 700 + dim);
+    math::Matrix b = RandomMatrix(cols, dim, 800 + dim);
+    for (size_t j = 0; j < kRankGroup; ++j) CopyRowTo(a, j, b, 5 * j);
+    std::vector<float> na(kRankGroup), nb(cols);
+    for (size_t r = 0; r < kRankGroup; ++r) {
+      na[r] = std::sqrt(kt.squared_l2(a.Row(r).data(), dim));
+    }
+    for (size_t j = 0; j < cols; ++j) {
+      nb[j] = std::sqrt(kt.squared_l2(b.Row(j).data(), dim));
+    }
+    std::vector<float> scratch(kRankGroup * dim);
+    for (size_t count = 1; count <= kRankGroup; ++count) {
+      const float* rows[kRankGroup];
+      float true_vals[kRankGroup];
+      size_t true_pos[kRankGroup];
+      ScanCounts want[kRankGroup];
+      for (size_t r = 0; r < count; ++r) {
+        rows[r] = a.Row(r).data();
+        // Row r ranks against its own copy (a tie of 1 with itself),
+        // except the last row, whose true column lies outside the tile.
+        true_pos[r] = r + 1 < count ? 5 * r : cols + 3;
+        const std::vector<float> cells = ExactCosineCells(
+            kt, rows[r], na[r], b.Row(0).data(), nb.data(), cols, dim);
+        true_vals[r] = true_pos[r] < cols ? cells[true_pos[r]] : 0.5f;
+        want[r] = ExactCounts(kt, cells, true_vals[r], true_pos[r]);
+      }
+      RankTile tile;
+      tile.count = count;
+      tile.rows = rows;
+      tile.row_norms = na.data();
+      tile.true_vals = true_vals;
+      tile.true_pos = true_pos;
+      tile.b = b.Row(0).data();
+      tile.ldb = dim;
+      tile.tgt_norms = nb.data();
+      tile.cols = cols;
+      tile.n = dim;
+      tile.scratch = scratch.data();
+      ScanCounts got[kRankGroup];
+      rank(tile, got);
+      for (size_t r = 0; r < count; ++r) {
+        const std::string where = name + " dim=" + std::to_string(dim) +
+                                  " count=" + std::to_string(count) +
+                                  " row=" + std::to_string(r);
+        EXPECT_EQ(got[r].greater, want[r].greater) << where;
+        EXPECT_EQ(got[r].ties, want[r].ties) << where;
+        EXPECT_EQ(got[r].nan, want[r].nan) << where;
+      }
+    }
+  }
+}
+
 TEST(RankCosineKernelTest, ProvenMarginDecidesLikeTheExactCells) {
-  // The kernel of each backend against the exact scan of the same backend
-  // (dot_rows plus the epilogue's kCosine finish and counts), for groups
-  // of every size and a true column inside and outside the tile.
+  // The kernel of each backend's table against the exact scan of the same
+  // backend, then each body of the AVX2 table's kernel that this CPU runs
+  // against the AVX2 exact scan.
   using namespace math::kernels;
   for (Backend backend : {Backend::kScalar, Backend::kAvx2}) {
     const KernelTable& kt = Table(backend);
-    for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u}) {
-      const size_t cols = 45;
-      const math::Matrix a = RandomMatrix(kRankGroup, dim, 700 + dim);
-      math::Matrix b = RandomMatrix(cols, dim, 800 + dim);
-      for (size_t j = 0; j < kRankGroup; ++j) CopyRowTo(a, j, b, 5 * j);
-      std::vector<float> na(kRankGroup), nb(cols);
-      for (size_t r = 0; r < kRankGroup; ++r) {
-        na[r] = std::sqrt(kt.squared_l2(a.Row(r).data(), dim));
-      }
-      for (size_t j = 0; j < cols; ++j) {
-        nb[j] = std::sqrt(kt.squared_l2(b.Row(j).data(), dim));
-      }
-      std::vector<float> scratch(kRankGroup * dim);
-      for (size_t count = 1; count <= kRankGroup; ++count) {
-        const float* rows[kRankGroup];
-        float true_vals[kRankGroup];
-        size_t true_pos[kRankGroup];
-        ScanCounts want[kRankGroup];
-        for (size_t r = 0; r < count; ++r) {
-          rows[r] = a.Row(r).data();
-          // Row r ranks against its own copy (a tie of 1 with itself),
-          // except the last row, whose true column lies outside the tile.
-          true_pos[r] = r + 1 < count ? 5 * r : cols + 3;
-          std::vector<float> cells(cols);
-          kt.dot_rows(rows[r], b.Row(0).data(), dim, cells.data(), cols, dim);
-          ScanEpilogue tile;
-          tile.finish = CellFinish::kCosine;
-          tile.na = na[r];
-          tile.tgt_norms = nb.data();
-          kt.scan_epilogue(tile, cells.data(), cols, nullptr);
-          true_vals[r] = true_pos[r] < cols ? cells[true_pos[r]] : 0.5f;
-          tile.finish = CellFinish::kNone;
-          tile.count_true = true;
-          tile.true_val = true_vals[r];
-          tile.true_pos = true_pos[r];
-          kt.scan_epilogue(tile, cells.data(), cols, &want[r]);
-        }
-        RankTile tile;
-        tile.count = count;
-        tile.rows = rows;
-        tile.row_norms = na.data();
-        tile.true_vals = true_vals;
-        tile.true_pos = true_pos;
-        tile.b = b.Row(0).data();
-        tile.ldb = dim;
-        tile.tgt_norms = nb.data();
-        tile.cols = cols;
-        tile.n = dim;
-        tile.scratch = scratch.data();
-        ScanCounts got[kRankGroup];
-        kt.rank_cosine(tile, got);
-        for (size_t r = 0; r < count; ++r) {
-          const std::string where =
-              std::string(BackendName(backend)) + " dim=" +
-              std::to_string(dim) + " count=" + std::to_string(count) +
-              " row=" + std::to_string(r);
-          EXPECT_EQ(got[r].greater, want[r].greater) << where;
-          EXPECT_EQ(got[r].ties, want[r].ties) << where;
-          EXPECT_EQ(got[r].nan, want[r].nan) << where;
-        }
-      }
-    }
+    ExpectRankKernelMatchesExactScan(kt, kt.rank_cosine, BackendName(backend));
+  }
+  const auto bodies = RankBodies();
+  for (const auto& [lanes, body] : bodies) {
+    ExpectRankKernelMatchesExactScan(Table(Backend::kAvx2), body,
+                                     "lanes=" + std::to_string(lanes));
+  }
+  if (bodies.size() < 2) {
+    std::printf("note: skipped the %s rank_cosine body: this CPU lacks %s\n",
+                bodies.empty() ? "8- and 16-lane" : "16-lane",
+                bodies.empty() ? "AVX2 and FMA" : "AVX-512F");
   }
 }
 
