@@ -244,10 +244,15 @@ inline BenchArgs ParseArgs(const std::string& bench_name, int argc,
     context.emplace("config", std::move(config));
     telemetry::SetContext(json::Value(std::move(context)));
     // Numeric mirror of the config key (0 = scalar, 1 = avx2) so the
-    // backend is attributable from the metrics block alone.
+    // backend is attributable from the metrics block alone, and the lanes
+    // of its decision kernels (16, 8 or 0), which tell the two avx2 bodies
+    // apart.
     telemetry::SetGauge(
         "kernels/backend",
         static_cast<double>(math::kernels::ActiveBackend()));
+    telemetry::SetGauge(
+        "kernels/decision_lanes",
+        static_cast<double>(math::kernels::DecisionLanes()));
   }
   // Live observability: the background RSS sampler feeds the windowed
   // mem/rss_mb series of every --json run; --metrics-interval additionally

@@ -420,12 +420,9 @@ core::AlignmentModel PlantedPairs(size_t n, size_t dim) {
 /// "lanes:16"), or "scalar". With more than one thread the scan's row
 /// chunks hold 8 rows, which the 16-lane body hands to the 8-lane one.
 std::string RankBodyLabel() {
-  const auto active = math::kernels::Active().rank_cosine;
-  if (active == math::kernels::RankCosineBodyForTesting(16)) {
-    return Threads() > 1 ? "lanes:8" : "lanes:16";
-  }
-  if (active == math::kernels::RankCosineBodyForTesting(8)) return "lanes:8";
-  return "scalar";
+  const size_t lanes = math::kernels::DecisionLanes();
+  if (lanes == 0) return "scalar";
+  return "lanes:" + std::to_string(Threads() > 1 ? size_t{8} : lanes);
 }
 
 // The ranking scan of the evaluation protocol: EvaluateRanking over n

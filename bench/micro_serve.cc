@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the serving layer's own units of
 // work: one-row IVF lookups, parsing a one-row topk request and writing its
 // response. align-serve answers each request with these three steps plus
-// the pipe round trip.
+// the pipe round trip. BM_AnnIvfBuild times the IVF index build its start
+// pays.
 //
 //   ./build/bench/micro_serve --benchmark_min_time=0.5
 
@@ -12,13 +13,16 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 #include <unistd.h>
 
 #include "src/align/candidate_source.h"
 #include "src/common/json.h"
 #include "src/common/logging.h"
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
+#include "src/math/kernels.h"
 #include "src/math/matrix.h"
 #include "src/math/sharded_table.h"
 #include "src/serve/server.h"
@@ -64,9 +68,31 @@ const ServeData& Data() {
   return *data;
 }
 
-/// The cosine IVF index over Data(), in RAM or over a shard-banked table
-/// written to the temp directory (removed again at exit). Built once per
-/// storage and kept for the process.
+/// Data().targets written as a shard-banked table to the temp directory
+/// and opened. `name` tells a process's tables apart; each is removed at
+/// exit, with the `.ivfpack` sidecar an IVF build writes next to it.
+std::shared_ptr<const math::ShardedEmbeddingTable> DataTable(
+    const std::string& name) {
+  static std::vector<std::string>* paths = [] {
+    std::atexit([] {
+      for (const std::string& path : *paths) {
+        std::remove(path.c_str());
+        std::remove((path + ".ivfpack").c_str());
+      }
+    });
+    return new std::vector<std::string>();
+  }();
+  const std::string path = std::string(P_tmpdir) + "/micro_serve_" + name +
+                           "_" + std::to_string(::getpid()) + ".shard";
+  paths->push_back(path);
+  OPENEA_CHECK(math::WriteShardedTable(path, Data().targets).ok());
+  auto table = math::ShardedEmbeddingTable::Open(path);
+  OPENEA_CHECK(table.ok());
+  return *std::move(table);
+}
+
+/// The cosine IVF index over Data(), in RAM or over DataTable("index").
+/// Built once per storage and kept for the process.
 const align::CandidateSource& IvfSource(bool sharded) {
   static std::unique_ptr<align::CandidateSource> sources[2];
   std::unique_ptr<align::CandidateSource>& source = sources[sharded ? 1 : 0];
@@ -74,23 +100,46 @@ const align::CandidateSource& IvfSource(bool sharded) {
   align::CandidateSourceConfig config;
   config.kind = align::CandidateSourceKind::kAnnIvf;
   source = align::CreateCandidateSourceOrDie(config);
-  if (!sharded) {
-    OPENEA_CHECK(source->Index(Data().targets).ok());
-    return *source;
-  }
-  static const std::string path =
-      std::string(P_tmpdir) + "/micro_serve_" + std::to_string(::getpid()) +
-      ".shard";
-  OPENEA_CHECK(math::WriteShardedTable(path, Data().targets).ok());
-  auto table = math::ShardedEmbeddingTable::Open(path);
-  OPENEA_CHECK(table.ok());
-  OPENEA_CHECK(source->IndexSharded(*std::move(table)).ok());
-  std::atexit([] {
-    std::remove(path.c_str());
-    std::remove((path + ".ivfpack").c_str());
-  });
+  OPENEA_CHECK(sharded ? source->IndexSharded(DataTable("index")).ok()
+                       : source->Index(Data().targets).ok());
   return *source;
 }
+
+/// The `top1_cosine` body that assigns the IVF build's rows: "lanes:16",
+/// "lanes:8" or "scalar". With more than one thread the build's row chunks
+/// hold 8 rows, which the 16-lane body hands to the 8-lane one.
+std::string DecisionBodyLabel() {
+  const size_t lanes = math::kernels::DecisionLanes();
+  if (lanes == 0) return "scalar";
+  return "lanes:" + std::to_string(Threads() > 1 ? size_t{8} : lanes);
+}
+
+/// One IVF build at the default config over Data(): `Index` in RAM, or
+/// `IndexSharded` over a table written once before the timing (each build
+/// writes its packed sidecar again). Args: sharded (0 or 1). Runs at the
+/// default thread count (OPENEA_THREADS).
+void BM_AnnIvfBuild(benchmark::State& state) {
+  const bool sharded = state.range(0) != 0;
+  std::shared_ptr<const math::ShardedEmbeddingTable> table;
+  if (sharded) {
+    static const auto written = DataTable("build");
+    table = written;
+  }
+  align::CandidateSourceConfig config;
+  config.kind = align::CandidateSourceKind::kAnnIvf;
+  state.SetLabel(DecisionBodyLabel());
+  for (auto _ : state) {
+    auto source = align::CreateCandidateSourceOrDie(config);
+    OPENEA_CHECK(sharded ? source->IndexSharded(table).ok()
+                         : source->Index(Data().targets).ok());
+    benchmark::DoNotOptimize(source.get());
+  }
+}
+BENCHMARK(BM_AnnIvfBuild)
+    ->ArgNames({"sharded"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /// One `CandidateSource::TopK` of one row, cycling through the queries.
 /// Args: sharded (0 = in-RAM index, 1 = shard-banked) and telemetry

@@ -11,6 +11,7 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
+#include "src/math/kernels.h"
 #include "src/math/vec.h"
 
 namespace openea::align {
@@ -237,7 +238,9 @@ class AnnIvfSource final : public CandidateSource {
     // point, ties toward the lower centroid id); the centroid update
     // accumulates serially in row order — both deterministic at any thread
     // count and any bank layout. The row norms serve every iteration and
-    // then the packed layout.
+    // then the packed layout. A cosine pass whose centroid norms all lie in
+    // the decision kernel's guard takes each row's top-1 by decision,
+    // seeded with the row's centroid of the pass before (AssignRows).
     std::vector<float> row_norms;
     if (cosine) {
       StatusOr<std::vector<float>> norms = detail::RowNorms(rows);
@@ -246,31 +249,21 @@ class AnnIvfSource final : public CandidateSource {
     }
     std::vector<int> assign(n, 0);
     std::vector<float> centroid_norms;
+    std::atomic<uint64_t> exact_cells{0};
     for (int iter = 0; iter < config_.ivf_iters; ++iter) {
       if (cosine) centroid_norms = detail::RowNorms(centroids_).value();
+      const bool decided =
+          cosine && dim <= math::kernels::kRankMaxDim &&
+          std::all_of(centroid_norms.begin(), centroid_norms.end(),
+                      math::kernels::InRankGuard);
       Status status = rows.ForEachBank([&](const math::RowBanks::Bank& bank) {
         const size_t first = bank.first_row();
         ParallelFor(first, first + bank.rows(), kQueryGrain,
                     [&](size_t begin, size_t end) {
-          std::vector<float> sims(num_lists_);
-          for (size_t i = begin; i < end; ++i) {
-            detail::MetricRowBlock(
-                config_.metric, bank.RowValues(i),
-                cosine ? row_norms[i] : 0.0f, centroids_.Row(0).data(), dim,
-                centroid_norms.empty() ? nullptr : centroid_norms.data(),
-                sims.data(), num_lists_, dim);
-            int best = 0;
-            float best_value = sims[0];
-            for (size_t c = 1; c < num_lists_; ++c) {
-              // NaN sims never beat: the comparison is false, so the point
-              // stays on the lowest finite (or 0th) centroid.
-              if (sims[c] > best_value) {
-                best = static_cast<int>(c);
-                best_value = sims[c];
-              }
-            }
-            assign[i] = best;
-          }
+          exact_cells.fetch_add(
+              AssignRows(bank, begin, end, row_norms, centroid_norms, decided,
+                         assign.data()),
+              std::memory_order_relaxed);
         });
       });
       if (!status.ok()) return status;
@@ -344,9 +337,98 @@ class AnnIvfSource final : public CandidateSource {
       telemetry::IncrCounter("cand/ann_ivf/sharded_builds");
     }
     if (cosine) centroid_norms_ = detail::RowNorms(centroids_).value();
+    telemetry::IncrCounter("cand/ann_ivf/assign_exact_cells",
+                           exact_cells.load(std::memory_order_relaxed));
     telemetry::SetGauge("ann/lists", static_cast<double>(num_lists_));
     return Status::OK();
   }
+
+  /// One Lloyd assignment of rows [begin, end) of `bank`: assign[i] becomes
+  /// the centroid of row i's greatest cell, the lowest id among equal ones.
+  /// When `decided`, a row whose norm lies in the decision kernel's guard
+  /// joins a group of kRankGroup rows for `top1_cosine`, seeded with the
+  /// exact cell of its current centroid; every other row computes all its
+  /// cells and takes their argmax. Both give the same centroid (DESIGN.md,
+  /// "Ranking by decision"). Returns the exact cells computed.
+  uint64_t AssignRows(const math::RowBanks::Bank& bank, size_t begin,
+                      size_t end, const std::vector<float>& row_norms,
+                      const std::vector<float>& centroid_norms, bool decided,
+                      int* assign) const {
+    using math::kernels::kRankGroup;
+    const size_t dim = this->dim();
+    const float* centroids = centroids_.Row(0).data();
+    const float* norms =
+        centroid_norms.empty() ? nullptr : centroid_norms.data();
+    uint64_t exact = 0;
+    std::vector<float> sims;
+    std::vector<float> scratch;
+    if (decided) scratch.resize(kRankGroup * dim);
+    const float* group_rows[kRankGroup];
+    float group_norms[kRankGroup];
+    float seed_vals[kRankGroup];
+    size_t seed_pos[kRankGroup];
+    size_t group_index[kRankGroup];
+    size_t group_size = 0;
+    auto flush_group = [&] {
+      if (group_size == 0) return;
+      math::kernels::RankTile tile;
+      tile.count = group_size;
+      tile.rows = group_rows;
+      tile.row_norms = group_norms;
+      tile.true_vals = seed_vals;
+      tile.true_pos = seed_pos;
+      tile.b = centroids;
+      tile.ldb = dim;
+      tile.tgt_norms = norms;
+      tile.cols = num_lists_;
+      tile.n = dim;
+      tile.scratch = scratch.data();
+      math::kernels::RankTop1 best[kRankGroup];
+      math::kernels::Active().top1_cosine(tile, best);
+      for (size_t g = 0; g < group_size; ++g) {
+        assign[group_index[g]] = static_cast<int>(best[g].pos);
+        exact += best[g].exact;
+      }
+      group_size = 0;
+    };
+    for (size_t i = begin; i < end; ++i) {
+      const float* row = bank.RowValues(i);
+      const float na = row_norms.empty() ? 0.0f : row_norms[i];
+      if (decided && math::kernels::InRankGuard(na)) {
+        const size_t seed = static_cast<size_t>(assign[i]);
+        group_rows[group_size] = row;
+        group_norms[group_size] = na;
+        seed_vals[group_size] =
+            detail::MetricCell(config_.metric, row, na, centroids + seed * dim,
+                               norms[seed], dim);
+        seed_pos[group_size] = seed;
+        group_index[group_size] = i;
+        ++exact;
+        if (++group_size == kRankGroup) flush_group();
+        continue;
+      }
+      if (sims.empty()) sims.resize(num_lists_);
+      detail::MetricRowBlock(config_.metric, row, na, centroids, dim, norms,
+                             sims.data(), num_lists_, dim);
+      exact += num_lists_;
+      int best = 0;
+      float best_value = sims[0];
+      for (size_t c = 1; c < num_lists_; ++c) {
+        // NaN sims never beat: the comparison is false, so the point stays
+        // on the lowest finite (or 0th) centroid.
+        if (sims[c] > best_value) {
+          best = static_cast<int>(c);
+          best_value = sims[c];
+        }
+      }
+      assign[i] = best;
+    }
+    flush_group();
+    return exact;
+  }
+
+  friend internal::IvfLayout internal::IvfLayoutForTesting(
+      const CandidateSource& source);
 
   size_t num_lists_ = 0;
   math::Matrix centroids_;
@@ -369,6 +451,12 @@ namespace internal {
 std::unique_ptr<CandidateSource> MakeAnnIvfSource(
     const CandidateSourceConfig& config) {
   return std::make_unique<AnnIvfSource>(config);
+}
+
+IvfLayout IvfLayoutForTesting(const CandidateSource& source) {
+  const auto* ivf = dynamic_cast<const AnnIvfSource*>(&source);
+  OPENEA_CHECK(ivf != nullptr) << "IvfLayoutForTesting: not an ann_ivf source";
+  return {ivf->list_offsets_, ivf->packed_ids_};
 }
 
 }  // namespace internal

@@ -2,6 +2,7 @@
 #define OPENEA_ALIGN_ANN_IVF_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/align/candidate_source.h"
 
@@ -29,9 +30,20 @@ namespace internal {
 
 /// Factory hook used by CreateCandidateSource; the config must already be
 /// validated. Exposed for the factory TU only — library callers go through
-/// CreateCandidateSource with kind == kAnnIvf.
+/// CreateCandidateSource with kind == kAnnIvf. Besides the factory TU only
+/// tests include this header.
 std::unique_ptr<CandidateSource> MakeAnnIvfSource(
     const CandidateSourceConfig& config);
+
+/// The inverted-list layout of an indexed ann_ivf source, for the tests
+/// that pin the k-means assignment: list l holds packed slots
+/// [list_offsets[l], list_offsets[l + 1]), and packed_ids[slot] is the
+/// original row in that slot. CHECK-fails on any other source.
+struct IvfLayout {
+  std::vector<size_t> list_offsets;
+  std::vector<int> packed_ids;
+};
+IvfLayout IvfLayoutForTesting(const CandidateSource& source);
 
 }  // namespace internal
 }  // namespace openea::align

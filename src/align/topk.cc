@@ -316,10 +316,6 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
       has_true && k == 0 && !options.csls &&
       options.metric == DistanceMetric::kCosine &&
       dim <= math::kernels::kRankMaxDim;
-  auto in_rank_guard = [](float norm) {
-    return norm >= math::kernels::kRankMinNorm &&
-           norm <= math::kernels::kRankMaxNorm;
-  };
 
   // The scan: bank-outer, with persistent per-row selection state. Row
   // chunk boundaries are fixed by kRowGrain, so a given row is only ever
@@ -336,7 +332,7 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
           rank_by_decision &&
           std::all_of(tgt_norms.begin() + static_cast<long>(first),
                       tgt_norms.begin() + static_cast<long>(first + bank_rows),
-                      in_rank_guard);
+                      math::kernels::InRankGuard);
       // The tiles ScanRowTiles would count for a decided row.
       const uint64_t row_tiles = (bank_rows + col_block - 1) / col_block;
       ParallelFor(0, rows, kRowGrain, [&](size_t row_begin, size_t row_end) {
@@ -379,7 +375,7 @@ TopKResult StreamingTopK(const math::Matrix& src, const math::RowBanks& tgt,
           if (has_true && true_in_scan) {
             result.true_sim[i] = true_cell(i, bank);
           }
-          if (bank_decided && in_rank_guard(src_norms[i]) &&
+          if (bank_decided && math::kernels::InRankGuard(src_norms[i]) &&
               std::fabs(result.true_sim[i]) <= 2.0f) {
             group_rows[group_size] = src.Row(i).data();
             group_norms[group_size] = src_norms[i];

@@ -135,16 +135,20 @@ inline void TallyCell(float v, float true_val, ScanCounts& counts) {
   }
 }
 
-// Cosine ranking by decision (kernels.h, RankTile). A cell's decision value
-// is its dot product times the two reciprocal norms; a cell inside its
-// row's band is finished exactly from the same dot product, since ScalarDot
-// is also the exact cell's (dot_rows) dot product here.
-void ScalarRankCosine(const RankTile& tile, ScanCounts* counts) {
+// Cosine ranking and top-1 by decision (kernels.h, RankTile). A cell's
+// decision value is its dot product times the two reciprocal norms; a cell
+// inside its row's band is finished exactly from the same dot product,
+// since ScalarDot is also the exact cell's (dot_rows) dot product here.
+// The two kernels differ only in their band-cell policy: Band() sets row
+// r's band, Above() takes a cell above it and Exact() the exact cell v at
+// column j, which may move the band's lower edge `*lo`.
+template <class Cells>
+void ScalarDecide(const RankTile& tile, const Cells& cells) {
   const double margin = RankMargin(tile.n);
   float inv_na[kRankGroup], lo[kRankGroup], hi[kRankGroup];
   for (size_t r = 0; r < tile.count; ++r) {
     inv_na[r] = 1.0f / tile.row_norms[r];
-    RankBand(tile.true_vals[r], margin, &lo[r], &hi[r]);
+    cells.Band(r, margin, &lo[r], &hi[r]);
   }
   for (size_t j = 0; j < tile.cols; ++j) {
     const float* b = tile.b + j * tile.ldb;
@@ -155,13 +159,58 @@ void ScalarRankCosine(const RankTile& tile, ScanCounts* counts) {
       const float dot = ScalarDot(tile.rows[r], b, tile.n);
       const float x = dot * inv_na[r] * inv_nb;
       if (x > hi[r]) {
-        ++counts[r].greater;
+        cells.Above(r);
       } else if (!(x < lo[r])) {
-        TallyCell(CosineCell(dot, tile.row_norms[r], nb), tile.true_vals[r],
-                  counts[r]);
+        cells.Exact(r, j, CosineCell(dot, tile.row_norms[r], nb), margin,
+                    &lo[r]);
       }
     }
   }
+}
+
+// rank_cosine: the band is the true cell +- the margin; a cell above it
+// counts as greater, an exact cell is tallied against the true cell.
+struct TallyCells {
+  const RankTile& tile;
+  ScanCounts* counts;
+  void Band(size_t r, double margin, float* lo, float* hi) const {
+    RankBand(tile.true_vals[r], margin, lo, hi);
+  }
+  void Above(size_t r) const { ++counts[r].greater; }
+  void Exact(size_t r, size_t, float v, double, float*) const {
+    TallyCell(v, tile.true_vals[r], counts[r]);
+  }
+};
+
+// top1_cosine: a running best seeded with the true cell, and a band with
+// no upper edge. An exact cell is taken when greater than the best, or
+// equal to it at a lower column; the band's lower edge follows the best.
+struct Top1Cells {
+  const RankTile& tile;
+  RankTop1* best;
+  void Band(size_t r, double margin, float* lo, float* hi) const {
+    best[r] = {tile.true_vals[r], tile.true_pos[r], 0};
+    RankBand(tile.true_vals[r], margin, lo, hi);
+    *hi = std::numeric_limits<float>::infinity();
+  }
+  void Above(size_t) const {}
+  void Exact(size_t r, size_t j, float v, double margin, float* lo) const {
+    RankTop1& row = best[r];
+    ++row.exact;
+    if (!(v > row.value || (v == row.value && j < row.pos))) return;
+    row.value = v;
+    row.pos = j;
+    float hi = 0.0f;
+    RankBand(v, margin, lo, &hi);
+  }
+};
+
+void ScalarRankCosine(const RankTile& tile, ScanCounts* counts) {
+  ScalarDecide(tile, TallyCells{tile, counts});
+}
+
+void ScalarTop1Cosine(const RankTile& tile, RankTop1* best) {
+  ScalarDecide(tile, Top1Cells{tile, best});
 }
 
 void ScalarAxpy(float alpha, const float* x, float* y, size_t n) {
@@ -246,6 +295,7 @@ constexpr KernelTable kScalarTable = {
     /*l1_distance_rows=*/ScalarL1DistanceRows,
     /*scan_epilogue=*/ScalarScanEpilogue,
     /*rank_cosine=*/ScalarRankCosine,
+    /*top1_cosine=*/ScalarTop1Cosine,
     /*axpy=*/ScalarAxpy,
     /*scale=*/ScalarScale,
     /*add=*/ScalarAdd,
@@ -395,17 +445,38 @@ Backend ActiveBackend() {
   return Backend::kScalar;
 }
 
-RankCosineFn RankCosineBodyForTesting(size_t lanes) {
+size_t DecisionLanes() {
+#ifdef OPENEA_HAVE_AVX2_KERNELS
+  if (ActiveBackend() == Backend::kAvx2) return Avx512FSupported() ? 16 : 8;
+#endif
+  return 0;
+}
+
+namespace {
+
+/// The AVX2 table whose decision bodies have `lanes` rows per register, or
+/// nullptr when this build or CPU cannot run them.
+const KernelTable* DecisionTableForTesting(size_t lanes) {
 #ifdef OPENEA_HAVE_AVX2_KERNELS
   if (Avx2Supported()) {
-    if (lanes == 8) return Avx2KernelTable(false).rank_cosine;
-    if (lanes == 16 && Avx512FSupported()) {
-      return Avx2KernelTable(true).rank_cosine;
-    }
+    if (lanes == 8) return &Avx2KernelTable(false);
+    if (lanes == 16 && Avx512FSupported()) return &Avx2KernelTable(true);
   }
 #endif
   (void)lanes;
   return nullptr;
+}
+
+}  // namespace
+
+RankCosineFn RankCosineBodyForTesting(size_t lanes) {
+  const KernelTable* table = DecisionTableForTesting(lanes);
+  return table != nullptr ? table->rank_cosine : nullptr;
+}
+
+Top1CosineFn Top1CosineBodyForTesting(size_t lanes) {
+  const KernelTable* table = DecisionTableForTesting(lanes);
+  return table != nullptr ? table->top1_cosine : nullptr;
 }
 
 bool SetBackendForTesting(Backend backend) {

@@ -12,8 +12,9 @@ namespace openea::math::kernels {
 /// function pointers below, the way ATen selects per-arch kernels: a scalar
 /// reference table (bit-identical to the historical hand-rolled loops) and
 /// an AVX2/FMA table compiled into its own translation unit with -mavx2
-/// -mfma (its `rank_cosine` runs a 16-lane AVX-512F body, compiled by
-/// function target attributes, on CPUs that have it; kernels_avx2.cc).
+/// -mfma (its decision kernels, `rank_cosine` and `top1_cosine`, run
+/// 16-lane AVX-512F bodies, compiled by function target attributes, on CPUs
+/// that have it; kernels_avx2.cc).
 /// The backend is selected exactly once, before the first kernel
 /// call, from CPUID — overridable with OPENEA_KERNELS=scalar|avx2 — and
 /// reported through telemetry as the `kernels` config key / the
@@ -95,6 +96,11 @@ constexpr float kRankMinNorm = 0x1p-20f;
 constexpr float kRankMaxNorm = 0x1p20f;
 constexpr size_t kRankMaxDim = size_t{1} << 16;
 
+/// Whether an L2 norm lies in that guarded range (false for NaN).
+inline bool InRankGuard(float norm) {
+  return norm >= kRankMinNorm && norm <= kRankMaxNorm;
+}
+
 /// A cosine ranking group (DESIGN.md, "Streaming top-k similarity",
 /// "Ranking by decision"): up to kRankGroup source rows against `cols`
 /// target rows starting at `b`, `ldb` floats apart. Per row it tallies the
@@ -114,6 +120,13 @@ struct RankTile {
   size_t n = 0;
   /// Scratch of kRankGroup * n floats.
   float* scratch = nullptr;
+};
+
+/// The result of `top1_cosine` for one row of its tile.
+struct RankTop1 {
+  float value = 0.0f;   // The greatest exact cell.
+  size_t pos = 0;       // The lowest column that holds it, relative to b.
+  uint32_t exact = 0;   // Exact cells computed, the seed's not counted.
 };
 
 /// The decision margin of `rank_cosine` at row length n: a data-independent
@@ -194,6 +207,15 @@ struct KernelTable {
   //    of the true cell are computed exactly. The caller keeps to the guard
   //    above (kRankMinNorm). ---------------------------------------------
   void (*rank_cosine)(const RankTile& tile, ScanCounts* counts);
+  // -- Cosine top-1 by decision, rank_cosine with a running best in place
+  //    of the true cell: tile.true_vals[r] is an exact cell of row r (the
+  //    seed) and tile.true_pos[r] its column. best[r] receives the greatest
+  //    exact cell of the row over the tile's columns and the lowest column
+  //    that holds it, i.e. the argmax of the exact cells with ties toward
+  //    the lower column. A cell whose decision value lies below the band
+  //    of the running best is dropped; every other cell is computed
+  //    exactly. Same guard as rank_cosine. -------------------------------
+  void (*top1_cosine)(const RankTile& tile, RankTop1* best);
 
   // -- Elementwise (bit-identical across backends). ------------------------
   /// y[i] += alpha * x[i].
@@ -249,6 +271,12 @@ bool Avx2Supported();
 /// (an unsatisfiable avx2 request falls back to scalar with a warning),
 /// else avx2 when supported, else scalar.
 Backend ActiveBackend();
+
+/// Rows per register of the active table's decision kernels
+/// (`rank_cosine`, `top1_cosine`): 16 for the AVX-512F body, 8 for the AVX2
+/// one, 0 for scalar. Reported as the `kernels/decision_lanes` gauge; a
+/// group of at most 8 rows runs 8 lanes under either AVX2 body.
+size_t DecisionLanes();
 
 /// The dispatch table of the active backend. Hot loops should hoist this
 /// reference out of the loop (one relaxed atomic load).

@@ -2,11 +2,11 @@
 // is the only translation unit compiled with -mavx2 -mfma (see
 // src/CMakeLists.txt); nothing in it may be reached except through the
 // table returned by Avx2KernelTable(), which kernels.cc only hands out
-// after the CPUID probe passed. The 16-lane body of the ranking kernel is
-// the one exception to the file's ISA: its functions carry
-// __attribute__((target("avx512f"))), and only the second of the file's
-// two constant tables holds it, which kernels.cc hands out only when its
-// CPUID probe also reported avx512f (tests reach both ranking bodies
+// after the CPUID probe passed. The 16-lane bodies of the decision kernels
+// (rank_cosine, top1_cosine) are the one exception to the file's ISA: their
+// functions carry __attribute__((target("avx512f"))), and only the second
+// of the file's two constant tables holds them, which kernels.cc hands out
+// only when its CPUID probe also reported avx512f (tests reach every body
 // through src/math/kernels_internal.h).
 //
 // Bitwise contract (kernels.h): elementwise kernels perform the same IEEE
@@ -16,7 +16,8 @@
 // differ from scalar in the last ULPs and are tied to it by the
 // ULP-tolerance suite in tests/kernels_test.cc. The scan epilogue is
 // elementwise per cell and bit-identical to scalar as well. The ranking
-// kernel's counts equal those of this backend's exact cells.
+// kernel's counts, and the top-1 kernel's argmax, equal those of this
+// backend's exact cells.
 
 #ifdef OPENEA_HAVE_AVX2_KERNELS
 
@@ -348,34 +349,37 @@ void Avx2ScanEpilogue(const ScanEpilogue& tile, float* cells, size_t count,
 }
 
 // ---------------------------------------------------------------------------
-// Cosine ranking by decision (kernels.h, RankTile; DESIGN.md, "Ranking by
-// decision"). The group's rows are packed dim-major into the scratch, one
-// row per lane, and the targets are read in place: per dim, one load of the
-// packed rows and one broadcast per target feed one FMA accumulator per
-// target, so a block of kRankBlock targets yields lanes x kRankBlock
-// decision values with no horizontal sums. Each accumulator is scaled by
-// the rows' and the target's reciprocal norms and compared with the rows'
-// bands: a cell above its band counts as greater, one below is dropped, and
-// one inside it (or NaN) is computed exactly, as dot_rows and the kCosine
-// epilogue compute it (CellOf is dot_rows' per-row float).
+// Cosine ranking and top-1 by decision (kernels.h, RankTile; DESIGN.md,
+// "Ranking by decision"). The group's rows are packed dim-major into the
+// scratch, one row per lane, and the targets are read in place: per dim,
+// one load of the packed rows and one broadcast per target feed one FMA
+// accumulator per target, so a block of kRankBlock targets yields lanes x
+// kRankBlock decision values with no horizontal sums. Each accumulator is
+// scaled by the rows' and the target's reciprocal norms and compared with
+// the rows' bands: a cell above its band counts as greater, one below is
+// dropped, and one inside it (or NaN) is computed exactly, as dot_rows and
+// the kCosine epilogue compute it (CellOf is dot_rows' per-row float).
+// rank_cosine and top1_cosine differ only in their band-cell policy
+// (TallyCells, Top1Cells): what a band is and what an exact cell does.
 //
 // The body is written once over a lane policy: Avx2Lanes holds 8 rows in a
-// __m256, Avx512Lanes 16 rows in a __m512. The 16-lane instantiation is
-// compiled for AVX-512F by the target attributes on its policy and on its
-// entry point, RankCosine16, which only the table kAvx2Avx512Table holds;
-// kernels.cc hands that table out only after CPUID reported avx512f. The
-// policies take and give vectors by reference: a __m512 passed by value
-// through a function not compiled for AVX-512 would change the calling
-// convention.
+// __m256, Avx512Lanes 16 rows in a __m512. The 16-lane instantiations are
+// compiled for AVX-512F by the target attributes on the lane policy and on
+// their entry points, RankCosine16 and Top1Cosine16, which only the table
+// kAvx2Avx512Table holds; kernels.cc hands that table out only after CPUID
+// reported avx512f. The policies take and give vectors by reference: a
+// __m512 passed by value through a function not compiled for AVX-512 would
+// change the calling convention.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kRankBlock = 8;  // Targets per register block.
 
-/// Per-lane constants of a group; lanes past the group's rows have zero
-/// rows and a band of [+inf, +inf], so every cell of theirs is dropped.
+/// Per-group constants; lanes past the group's rows have zero rows and a
+/// band of [+inf, +inf], so every cell of theirs is dropped.
 template <class L>
 struct RankLanes {
   typename L::Vec inv_na, lo, hi;
+  double margin;  // RankMargin(n).
 };
 
 struct Avx2Lanes {
@@ -400,6 +404,13 @@ struct Avx2Lanes {
     return ~static_cast<unsigned>(
                _mm256_movemask_ps(_mm256_or_ps(above, below))) &
            0xFFu;
+  }
+  /// Sets lane r of v to x.
+  static void SetLane(Vec& v, size_t r, float x) {
+    const __m256i lane =
+        _mm256_cmpeq_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(static_cast<int>(r)));
+    v = _mm256_blendv_ps(v, _mm256_set1_ps(x), _mm256_castsi256_ps(lane));
   }
   static void ZeroTally(Tally& t) { t = _mm256_setzero_si256(); }
   static void StoreTally(uint32_t* out, const Tally& t) {
@@ -432,6 +443,10 @@ struct Avx512Lanes {
                                     _mm512_set1_epi32(-1));
     return ~static_cast<unsigned>(above | below) & 0xFFFFu;
   }
+  OPENEA_AVX512 static void SetLane(Vec& v, size_t r, float x) {
+    v = _mm512_mask_mov_ps(v, static_cast<__mmask16>(1u << r),
+                           _mm512_set1_ps(x));
+  }
   OPENEA_AVX512 static void ZeroTally(Tally& t) { t = _mm512_setzero_si512(); }
   OPENEA_AVX512 static void StoreTally(uint32_t* out, const Tally& t) {
     _mm512_storeu_si512(out, t);
@@ -456,18 +471,67 @@ inline void TallyCell(float v, float true_val, ScanCounts& counts) {
   }
 }
 
+// The band-cell policies, the one part in which the two decision kernels
+// differ. Band() sets row r's band, Exact() takes the exact cell v of row r
+// at column j, and Above() the per-lane counts of the cells above the band.
+
+/// rank_cosine: each band is the row's true cell +- the margin; an exact
+/// cell is tallied against the true cell, and the cells above the band
+/// count as greater.
+template <class L>
+struct TallyCells {
+  const RankTile& tile;
+  ScanCounts* counts;
+  void Band(size_t r, double margin, float* lo, float* hi) const {
+    RankBand(tile.true_vals[r], margin, lo, hi);
+  }
+  __attribute__((always_inline)) void Exact(size_t r, size_t, float v,
+                                            RankLanes<L>&) const {
+    TallyCell(v, tile.true_vals[r], counts[r]);
+  }
+  void Above(const uint32_t* tally) const {
+    for (size_t r = 0; r < tile.count; ++r) counts[r].greater += tally[r];
+  }
+};
+
+/// top1_cosine: a running best per row, seeded with the row's true cell.
+/// The band has no upper edge, so no cell lies above it. An exact cell is
+/// taken when it is greater than the best, or equal to it at a lower
+/// column, and the band's lower edge then moves up to the new best.
+template <class L>
+struct Top1Cells {
+  const RankTile& tile;
+  RankTop1* best;
+  void Band(size_t r, double margin, float* lo, float* hi) const {
+    best[r] = {tile.true_vals[r], tile.true_pos[r], 0};
+    RankBand(tile.true_vals[r], margin, lo, hi);
+    *hi = std::numeric_limits<float>::infinity();
+  }
+  __attribute__((always_inline)) void Exact(size_t r, size_t j, float v,
+                                            RankLanes<L>& lanes) const {
+    RankTop1& row = best[r];
+    ++row.exact;
+    if (!(v > row.value || (v == row.value && j < row.pos))) return;
+    row.value = v;
+    row.pos = j;
+    float lo = 0.0f, hi = 0.0f;
+    RankBand(v, lanes.margin, &lo, &hi);
+    L::SetLane(lanes.lo, r, lo);
+  }
+  void Above(const uint32_t*) const {}
+};
+
 /// Decides the cells of targets col..col+kTargets-1 for every lane; adds
-/// the cells above their band to `greater` and tallies the cells inside it
-/// exactly into `counts`. `inv_nb` holds the targets' reciprocal norms.
-/// A true column is never decided (its decision value lies within the
-/// margin of its own exact cell), so skipping it among the undecided cells
-/// keeps it out of the counts. kWidth: the row length when it is a
-/// compile-time constant.
-template <class L, size_t kTargets, size_t kWidth>
+/// the cells above their band to `greater` and hands the cells inside it to
+/// `cells` exactly. `inv_nb` holds the targets' reciprocal norms. A true
+/// column is never decided (its decision value lies within the margin of
+/// its own exact cell), so skipping it among the undecided cells keeps it
+/// out of the counts. kWidth: the row length when it is a compile-time
+/// constant.
+template <class L, size_t kTargets, size_t kWidth, class Cells>
 __attribute__((always_inline)) inline void RankBlock(
-    const RankTile& tile, const RankLanes<L>& lanes, size_t n,
-    size_t col, const float* inv_nb, typename L::Tally& greater,
-    ScanCounts* counts) {
+    const RankTile& tile, RankLanes<L>& lanes, size_t n, size_t col,
+    const float* inv_nb, typename L::Tally& greater, const Cells& cells) {
   const size_t ldb = tile.ldb;
   const float* b = tile.b + col * ldb;
   const float* packed = tile.scratch;
@@ -488,17 +552,18 @@ __attribute__((always_inline)) inline void RankBlock(
       undecided &= undecided - 1;
       const size_t j = col + k;
       if (j == tile.true_pos[r]) continue;
-      TallyCell(CosineCell(CellOf<DotOp>(tile.rows[r], b + k * ldb, n),
-                           tile.row_norms[r], tile.tgt_norms[j]),
-                tile.true_vals[r], counts[r]);
+      cells.Exact(r, j,
+                  CosineCell(CellOf<DotOp>(tile.rows[r], b + k * ldb, n),
+                             tile.row_norms[r], tile.tgt_norms[j]),
+                  lanes);
     }
   }
 }
 
 /// One group of up to L::kRows rows against every target of the tile.
-template <class L, size_t kWidth>
+template <class L, size_t kWidth, class Cells>
 __attribute__((always_inline)) inline void RankCosineOf(const RankTile& tile,
-                                                        ScanCounts* counts) {
+                                                        const Cells& cells) {
   constexpr size_t kRows = L::kRows;
   const size_t n = kWidth != 0 ? kWidth : tile.n;
   const size_t cols = tile.cols;
@@ -508,16 +573,16 @@ __attribute__((always_inline)) inline void RankCosineOf(const RankTile& tile,
       packed[d * kRows + r] = r < tile.count ? tile.rows[r][d] : 0.0f;
     }
   }
+  RankLanes<L> lanes;
+  lanes.margin = RankMargin(n);
   float inv_na[kRows], lo[kRows], hi[kRows];
-  const double margin = RankMargin(n);
   for (size_t r = 0; r < kRows; ++r) {
     inv_na[r] = 0.0f;
     lo[r] = hi[r] = std::numeric_limits<float>::infinity();
     if (r >= tile.count) continue;
     inv_na[r] = 1.0f / tile.row_norms[r];
-    RankBand(tile.true_vals[r], margin, &lo[r], &hi[r]);
+    cells.Band(r, lanes.margin, &lo[r], &hi[r]);
   }
-  RankLanes<L> lanes;
   L::Load(lanes.inv_na, inv_na);
   L::Load(lanes.lo, lo);
   L::Load(lanes.hi, hi);
@@ -530,31 +595,33 @@ __attribute__((always_inline)) inline void RankCosineOf(const RankTile& tile,
       inv_nb[k] = 1.0f / tile.tgt_norms[col + k];
     }
     RankBlock<L, kRankBlock, kWidth>(tile, lanes, n, col, inv_nb, greater,
-                                     counts);
+                                     cells);
   }
   // The last targets, one at a time.
   for (; col < cols; ++col) {
     inv_nb[0] = 1.0f / tile.tgt_norms[col];
-    RankBlock<L, 1, kWidth>(tile, lanes, n, col, inv_nb, greater, counts);
+    RankBlock<L, 1, kWidth>(tile, lanes, n, col, inv_nb, greater, cells);
   }
   uint32_t tally[kRows];
   L::StoreTally(tally, greater);
-  for (size_t r = 0; r < tile.count; ++r) counts[r].greater += tally[r];
+  cells.Above(tally);
 }
 
 /// At the default width the dim loop unrolls (as in RowsOf).
-template <class L>
+template <class L, class Cells>
 __attribute__((always_inline)) inline void RankCosineAtWidth(
-    const RankTile& tile, ScanCounts* counts) {
+    const RankTile& tile, const Cells& cells) {
   if (tile.n == kDefaultWidth) {
-    RankCosineOf<L, kDefaultWidth>(tile, counts);
+    RankCosineOf<L, kDefaultWidth>(tile, cells);
   } else {
-    RankCosineOf<L, 0>(tile, counts);
+    RankCosineOf<L, 0>(tile, cells);
   }
 }
 
 /// The 8-lane body: a group of kRankGroup rows as two halves of eight.
-void RankCosine8(const RankTile& tile, ScanCounts* counts) {
+/// `out` holds one result per row (ScanCounts or RankTop1).
+template <template <class> class Cells, class Out>
+void Decide8(const RankTile& tile, Out* out) {
   for (size_t first = 0; first < tile.count; first += Avx2Lanes::kRows) {
     RankTile half = tile;
     half.count = std::min(tile.count - first, Avx2Lanes::kRows);
@@ -562,21 +629,38 @@ void RankCosine8(const RankTile& tile, ScanCounts* counts) {
     half.row_norms += first;
     half.true_vals += first;
     half.true_pos += first;
-    RankCosineAtWidth<Avx2Lanes>(half, counts + first);
+    RankCosineAtWidth<Avx2Lanes>(half, Cells<Avx2Lanes>{half, out + first});
   }
 }
 
 /// The 16-lane body: the whole group in one pass over the targets. A group
 /// of at most eight rows takes the 8-lane body, which decides it in the
 /// same one pass without the padded half of the zmm lanes (with more than
-/// one thread StreamingTopK's row chunks hold eight rows, so every group
-/// is such a group).
-OPENEA_AVX512 void RankCosine16(const RankTile& tile, ScanCounts* counts) {
+/// one thread the callers' row chunks hold eight rows, so every group is
+/// such a group).
+template <template <class> class Cells, class Out>
+OPENEA_AVX512 void Decide16(const RankTile& tile, Out* out) {
   if (tile.count <= Avx2Lanes::kRows) {
-    RankCosine8(tile, counts);
+    Decide8<Cells>(tile, out);
     return;
   }
-  RankCosineAtWidth<Avx512Lanes>(tile, counts);
+  RankCosineAtWidth<Avx512Lanes>(tile, Cells<Avx512Lanes>{tile, out});
+}
+
+void RankCosine8(const RankTile& tile, ScanCounts* counts) {
+  Decide8<TallyCells>(tile, counts);
+}
+
+void Top1Cosine8(const RankTile& tile, RankTop1* best) {
+  Decide8<Top1Cells>(tile, best);
+}
+
+OPENEA_AVX512 void RankCosine16(const RankTile& tile, ScanCounts* counts) {
+  Decide16<TallyCells>(tile, counts);
+}
+
+OPENEA_AVX512 void Top1Cosine16(const RankTile& tile, RankTop1* best) {
+  Decide16<Top1Cells>(tile, best);
 }
 
 #undef OPENEA_AVX512
@@ -783,6 +867,7 @@ constexpr KernelTable kAvx2Table = {
     /*l1_distance_rows=*/RowsOf<L1DistanceOp>,
     /*scan_epilogue=*/Avx2ScanEpilogue,
     /*rank_cosine=*/RankCosine8,
+    /*top1_cosine=*/Top1Cosine8,
     /*axpy=*/Avx2Axpy,
     /*scale=*/Avx2Scale,
     /*add=*/Avx2Add,
@@ -795,10 +880,11 @@ constexpr KernelTable kAvx2Table = {
     /*translation_update=*/Avx2TranslationUpdate,
 };
 
-/// kAvx2Table with the 16-lane rank body, for CPUs with AVX-512F.
+/// kAvx2Table with the 16-lane decision bodies, for CPUs with AVX-512F.
 constexpr KernelTable kAvx2Avx512Table = [] {
   KernelTable table = kAvx2Table;
   table.rank_cosine = RankCosine16;
+  table.top1_cosine = Top1Cosine16;
   return table;
 }();
 

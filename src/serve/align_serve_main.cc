@@ -175,8 +175,12 @@ int Run(int argc, char** argv) {
     telemetry::SetContext(json::Value(std::move(context)));
   }
   // A server's metrics must exist whether or not a JSON sink is attached:
-  // the stats/metrics ops and GET /metrics read the live registry.
+  // the stats/metrics ops and GET /metrics read the live registry. The
+  // decision kernels' lanes (16, 8 or 0) say which avx2 body the run
+  // config's `kernels` key stands for, as in the benches.
   telemetry::SetCollection(true);
+  telemetry::SetGauge("kernels/decision_lanes",
+                      static_cast<double>(math::kernels::DecisionLanes()));
   telemetry::LiveMetricsConfig live;
   live.flush_interval_seconds = metrics_interval;
   telemetry::StartLiveMetrics(live);

@@ -10,19 +10,26 @@
 //  * config validation rejects out-of-range values with field-naming errors
 //  * the IVF probe admits cells that tie the k-th kept value (finite, -inf
 //    or +inf), so a lower id from a later list wins as in a brute force
+//  * the IVF k-means assignment, decided by `top1_cosine`, builds the list
+//    layout of the exact Lloyd loop bit for bit: exact and near ties, rows
+//    outside the kernel's guard, ragged groups and banks, 1-4 threads
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
+#include <unistd.h>
 
+#include "src/align/ann_ivf.h"
 #include "src/align/blocking.h"
 #include "src/align/candidate_source.h"
 #include "src/align/inference.h"
@@ -32,6 +39,9 @@
 #include "src/common/rng.h"
 #include "src/common/telemetry.h"
 #include "src/eval/metrics.h"
+#include "src/math/kernels.h"
+#include "src/math/kernels_internal.h"
+#include "src/math/sharded_table.h"
 #include "src/math/vec.h"
 
 namespace openea::align {
@@ -228,6 +238,13 @@ TEST(AnnIvfSourceTest, HighRecallOnClusteredDataWithSublinearScan) {
   ASSERT_NE(scanned, snapshot.counters.end());
   EXPECT_LT(scanned->second, kQueries * kN / 4);
   EXPECT_EQ(snapshot.counters.at("cand/ann_ivf/queries"), kQueries);
+  // The k-means assignment computes each row's cell to its seed centroid
+  // and, by decision, few of the other 44 per pass.
+  const auto assign_cells =
+      snapshot.counters.find("cand/ann_ivf/assign_exact_cells");
+  ASSERT_NE(assign_cells, snapshot.counters.end());
+  EXPECT_GE(assign_cells->second, kN * 10);
+  EXPECT_LT(assign_cells->second, kN * 45 * 10 / 4);
 }
 
 TEST(AnnIvfSourceTest, DeterministicAcrossThreadCounts) {
@@ -517,6 +534,332 @@ TEST(AnnIvfProbeBoundTest, KthValueOfPlusInfinityAdmitsLowerIds) {
         BruteForceTopK(tgt, query, DistanceMetric::kInner, 5);
     ASSERT_TRUE(std::isinf(want[4].value) && want[4].value > 0);
     ExpectProbeMatchesBruteForce(tgt, query, DistanceMetric::kInner, 6, 5);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The k-means assignment. A cosine pass takes each row's top-1 by decision
+// (`top1_cosine`), seeded with the row's centroid of the pass before; the
+// list layout must equal the one the exact Lloyd loop below builds, bit for
+// bit, whichever decision body the active backend runs (the 16-lane one on
+// one thread of an AVX-512F CPU, the 8-lane one otherwise, or the scalar
+// one under OPENEA_KERNELS=scalar, which `candidate_source_tests_scalar`
+// sets).
+// ---------------------------------------------------------------------------
+
+/// The exact Lloyd loop and list layout, as AnnIvfSource::Build ran them
+/// before the assignment was decided: seeded init, `ivf_iters` passes of
+/// every cell plus an argmax (ties and NaN cells toward the lower id),
+/// centroid means in double, list members in ascending id.
+internal::IvfLayout ReferenceIvfLayout(const math::Matrix& rows,
+                                       const CandidateSourceConfig& config) {
+  const size_t n = rows.rows(), dim = rows.cols();
+  const bool cosine = config.metric == DistanceMetric::kCosine;
+  size_t lists = config.ivf_lists;
+  if (lists == 0) {
+    lists = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
+  }
+  lists = std::min(std::max<size_t>(lists, 1), n);
+  Rng rng(config.seed);
+  std::vector<int> seeds(n);
+  std::iota(seeds.begin(), seeds.end(), 0);
+  rng.Shuffle(seeds);
+  math::Matrix centroids(lists, dim);
+  for (size_t c = 0; c < lists; ++c) {
+    const auto seed = rows.Row(static_cast<size_t>(seeds[c]));
+    std::copy(seed.begin(), seed.end(), centroids.Row(c).begin());
+  }
+  std::vector<float> row_norms;
+  if (cosine) row_norms = detail::RowNorms(rows).value();
+  std::vector<int> assign(n, 0);
+  std::vector<float> sims(lists);
+  for (int iter = 0; iter < config.ivf_iters; ++iter) {
+    std::vector<float> centroid_norms;
+    if (cosine) centroid_norms = detail::RowNorms(centroids).value();
+    for (size_t i = 0; i < n; ++i) {
+      detail::MetricRowBlock(
+          config.metric, rows.Row(i).data(), cosine ? row_norms[i] : 0.0f,
+          centroids.Row(0).data(), dim,
+          cosine ? centroid_norms.data() : nullptr, sims.data(), lists, dim);
+      int best = 0;
+      for (size_t c = 1; c < lists; ++c) {
+        if (sims[c] > sims[static_cast<size_t>(best)]) {
+          best = static_cast<int>(c);
+        }
+      }
+      assign[i] = best;
+    }
+    std::vector<double> sums(lists * dim, 0.0);
+    std::vector<uint32_t> counts(lists, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t c = static_cast<size_t>(assign[i]);
+      for (size_t d = 0; d < dim; ++d) sums[c * dim + d] += rows.Row(i)[d];
+      ++counts[c];
+    }
+    for (size_t c = 0; c < lists; ++c) {
+      if (counts[c] == 0) continue;
+      for (size_t d = 0; d < dim; ++d) {
+        centroids.Row(c)[d] =
+            static_cast<float>(sums[c * dim + d] / counts[c]);
+      }
+    }
+  }
+  internal::IvfLayout layout;
+  layout.list_offsets.assign(lists + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ++layout.list_offsets[static_cast<size_t>(assign[i]) + 1];
+  }
+  for (size_t c = 0; c < lists; ++c) {
+    layout.list_offsets[c + 1] += layout.list_offsets[c];
+  }
+  std::vector<size_t> cursor(layout.list_offsets.begin(),
+                             layout.list_offsets.end() - 1);
+  layout.packed_ids.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    layout.packed_ids[cursor[static_cast<size_t>(assign[i])]++] =
+        static_cast<int>(i);
+  }
+  return layout;
+}
+
+class AnnIvfAssignTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("openea_ivf_assign_") + info->name() + "_" +
+            std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Indexes `rows` in RAM and as shard-banked tables of 5 and 17 rows per
+  /// bank, at 1, 2 and 4 threads, and checks each list layout against the
+  /// exact Lloyd loop's.
+  void ExpectLayoutMatchesExactLoop(const math::Matrix& rows,
+                                    const CandidateSourceConfig& config,
+                                    const std::string& label) {
+    const internal::IvfLayout want = ReferenceIvfLayout(rows, config);
+    for (int threads : {1, 2, 4}) {
+      ThreadGuard guard(threads);
+      for (size_t bank_rows : {size_t{0}, size_t{5}, size_t{17}}) {
+        const std::string where = label + " threads=" +
+                                  std::to_string(threads) +
+                                  " bank_rows=" + std::to_string(bank_rows);
+        auto source = CreateCandidateSourceOrDie(config);
+        if (bank_rows == 0) {
+          ASSERT_TRUE(source->Index(rows).ok()) << where;
+        } else {
+          const std::string path = (dir_ / "rows.shard").string();
+          math::ShardedTableOptions options;
+          options.rows_per_bank = bank_rows;
+          ASSERT_TRUE(math::WriteShardedTable(path, rows, options).ok())
+              << where;
+          auto table = math::ShardedEmbeddingTable::Open(path);
+          ASSERT_TRUE(table.ok()) << where;
+          ASSERT_TRUE(source->IndexSharded(*std::move(table)).ok()) << where;
+        }
+        const internal::IvfLayout got = internal::IvfLayoutForTesting(*source);
+        EXPECT_EQ(got.list_offsets, want.list_offsets) << where;
+        EXPECT_EQ(got.packed_ids, want.packed_ids) << where;
+      }
+    }
+  }
+
+  static CandidateSourceConfig Ivf(
+      DistanceMetric metric = DistanceMetric::kCosine) {
+    CandidateSourceConfig config;
+    config.kind = CandidateSourceKind::kAnnIvf;
+    config.metric = metric;
+    return config;
+  }
+
+  std::filesystem::path dir_;
+};
+
+/// `n` rows, row i a copy of base row i % bases (or, with `near`, that copy
+/// scaled by 1 + k 2^-23 for k = -6..6, or with one of its first components
+/// moved one ulp, by turns), so equal and nearly equal cells abound.
+math::Matrix CopiesOfBases(size_t n, size_t dim, size_t bases, bool near,
+                           uint64_t seed) {
+  const math::Matrix base = RandomMatrix(bases, dim, seed);
+  math::Matrix rows(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    const auto from = base.Row(i % bases);
+    auto row = rows.Row(i);
+    std::copy(from.begin(), from.end(), row.begin());
+    if (!near) continue;
+    const size_t turn = (i / bases) % 20;
+    if (turn < 13) {
+      const float scale =
+          1.0f + static_cast<float>(static_cast<int>(turn) - 6) * 0x1p-23f;
+      for (float& v : row) v *= scale;
+    } else {
+      float& v = row[(turn - 13) % std::min<size_t>(dim, 4)];
+      v = std::nextafter(v, turn % 2 == 0 ? 2.0f : -2.0f);
+    }
+  }
+  return rows;
+}
+
+TEST_F(AnnIvfAssignTest, ExactTiesGoToTheLowerCentroid) {
+  // 7 distinct rows and 15 lists: the seeds repeat rows, so centroids are
+  // equal and every row ties between them on every pass. 213 = 13 * 16 + 5.
+  for (size_t dim : {1u, 7u, 32u, 33u}) {
+    ExpectLayoutMatchesExactLoop(CopiesOfBases(213, dim, 7, false, 40 + dim),
+                                 Ivf(), "dim=" + std::to_string(dim));
+  }
+}
+
+TEST_F(AnnIvfAssignTest, NearTiesMatchTheExactLoop) {
+  // Scaled and one-ulp copies of 6 rows: centroids an ulp or a few apart,
+  // and the cells of a row to them equal or nearly so. Euclidean keeps the
+  // exact loop; it checks the reference itself.
+  for (size_t dim : {7u, 32u, 33u, 128u}) {
+    const math::Matrix rows = CopiesOfBases(327, dim, 6, true, 50 + dim);
+    ExpectLayoutMatchesExactLoop(rows, Ivf(), "dim=" + std::to_string(dim));
+    if (dim == 32) {
+      ExpectLayoutMatchesExactLoop(rows, Ivf(DistanceMetric::kEuclidean),
+                                   "euclidean");
+    }
+  }
+}
+
+TEST_F(AnnIvfAssignTest, RowsOutsideTheGuardTakeTheExactLoop) {
+  // A zero row and a row of norm 2^21 take the exact loop alone. A NaN row
+  // turns its centroid NaN after the first pass, which sends every later
+  // pass to the exact loop.
+  const size_t dim = 16;
+  math::Matrix rows = ClusteredMatrix(250, dim, 9, 61);
+  for (float& v : rows.Row(3)) v = 0.0f;
+  const float big = 0x1p21f / std::sqrt(static_cast<float>(dim));
+  for (float& v : rows.Row(40)) v = big;
+  ExpectLayoutMatchesExactLoop(rows, Ivf(), "zero and large rows");
+  rows.Row(77)[5] = std::numeric_limits<float>::quiet_NaN();
+  ExpectLayoutMatchesExactLoop(rows, Ivf(), "and a NaN row");
+}
+
+TEST_F(AnnIvfAssignTest, RaggedRowCounts) {
+  // Row counts just past a group of 16 and short of one, a single row, and
+  // more lists than a block of 8 centroids evenly holds.
+  for (size_t n : {1u, 15u, 17u, 33u, 100u}) {
+    CandidateSourceConfig config = Ivf();
+    if (n == 100) config.ivf_lists = 13;
+    ExpectLayoutMatchesExactLoop(ClusteredMatrix(n, 24, 5, 70 + n), config,
+                                 "n=" + std::to_string(n));
+  }
+}
+
+/// For rows of `a` against the rows of `b`, checks `top1` against the
+/// argmax of `kt`'s exact cells (dot_rows plus the kCosine finish), for
+/// groups of 1 to kRankGroup rows and several seed columns per row.
+void ExpectTop1MatchesExactArgmax(const math::kernels::KernelTable& kt,
+                                  math::kernels::Top1CosineFn top1,
+                                  const math::Matrix& a, const math::Matrix& b,
+                                  const std::string& name) {
+  using namespace math::kernels;
+  const size_t cols = b.rows(), dim = a.cols();
+  std::vector<float> na(kRankGroup), nb(cols);
+  for (size_t r = 0; r < kRankGroup; ++r) {
+    na[r] = std::sqrt(kt.squared_l2(a.Row(r).data(), dim));
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    nb[j] = std::sqrt(kt.squared_l2(b.Row(j).data(), dim));
+  }
+  std::vector<std::vector<float>> cells(kRankGroup, std::vector<float>(cols));
+  std::vector<size_t> argmax(kRankGroup, 0);
+  for (size_t r = 0; r < kRankGroup; ++r) {
+    kt.dot_rows(a.Row(r).data(), b.Row(0).data(), dim, cells[r].data(), cols,
+                dim);
+    ScanEpilogue finish;
+    finish.finish = CellFinish::kCosine;
+    finish.na = na[r];
+    finish.tgt_norms = nb.data();
+    kt.scan_epilogue(finish, cells[r].data(), cols, nullptr);
+    for (size_t j = 1; j < cols; ++j) {
+      if (cells[r][j] > cells[r][argmax[r]]) argmax[r] = j;
+    }
+  }
+  std::vector<float> scratch(kRankGroup * dim);
+  for (size_t seed_turn = 0; seed_turn < 3; ++seed_turn) {
+    for (size_t count = 1; count <= kRankGroup; ++count) {
+      const float* rows[kRankGroup];
+      float seed_vals[kRankGroup];
+      size_t seed_pos[kRankGroup];
+      for (size_t r = 0; r < count; ++r) {
+        rows[r] = a.Row(r).data();
+        // The first column, a column after the argmax, or the argmax.
+        seed_pos[r] = seed_turn == 0   ? 0
+                      : seed_turn == 1 ? (argmax[r] + 1 + 7 * r) % cols
+                                       : argmax[r];
+        seed_vals[r] = cells[r][seed_pos[r]];
+      }
+      RankTile tile;
+      tile.count = count;
+      tile.rows = rows;
+      tile.row_norms = na.data();
+      tile.true_vals = seed_vals;
+      tile.true_pos = seed_pos;
+      tile.b = b.Row(0).data();
+      tile.ldb = dim;
+      tile.tgt_norms = nb.data();
+      tile.cols = cols;
+      tile.n = dim;
+      tile.scratch = scratch.data();
+      RankTop1 best[kRankGroup];
+      top1(tile, best);
+      for (size_t r = 0; r < count; ++r) {
+        const std::string where = name + " dim=" + std::to_string(dim) +
+                                  " count=" + std::to_string(count) +
+                                  " seed=" + std::to_string(seed_pos[r]) +
+                                  " row=" + std::to_string(r);
+        EXPECT_EQ(best[r].pos, argmax[r]) << where;
+        EXPECT_EQ(std::bit_cast<uint32_t>(best[r].value),
+                  std::bit_cast<uint32_t>(cells[r][argmax[r]]))
+            << where;
+        EXPECT_LT(best[r].exact, cols) << where;
+      }
+    }
+  }
+}
+
+TEST(Top1CosineKernelTest, EveryBodyTakesTheExactArgmax) {
+  // Each row's copy sits at column 5r + 2 with an exact duplicate at 5r + 4,
+  // and a scaled copy and a one-ulp copy at 5r + 1 and 5r + 3, so the
+  // greatest cell ties and nearly ties on both sides of the first copy.
+  // The long rows give decision values several ulps off their exact cells.
+  using namespace math::kernels;
+  for (size_t dim : {1u, 7u, 8u, 31u, 32u, 33u, 128u, 512u, 1024u}) {
+    const size_t cols = 5 * kRankGroup + 3;
+    const math::Matrix a = RandomMatrix(kRankGroup, dim, 900 + dim);
+    math::Matrix b = RandomMatrix(cols, dim, 950 + dim);
+    for (size_t r = 0; r < kRankGroup; ++r) {
+      const auto row = a.Row(r);
+      for (size_t c = 1; c <= 4; ++c) {
+        std::copy(row.begin(), row.end(), b.Row(5 * r + c).begin());
+      }
+      const float scale =
+          1.0f + static_cast<float>(static_cast<int>(r % 7) - 3) * 0x1p-23f;
+      for (float& v : b.Row(5 * r + 1)) v *= scale;
+      float& v = b.Row(5 * r + 3)[r % dim];
+      v = std::nextafter(v, r % 2 == 0 ? 2.0f : -2.0f);
+    }
+    for (Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+      const KernelTable& kt = Table(backend);
+      ExpectTop1MatchesExactArgmax(kt, kt.top1_cosine, a, b,
+                                   BackendName(backend));
+    }
+    for (size_t lanes : {size_t{8}, size_t{16}}) {
+      if (Top1CosineFn body = Top1CosineBodyForTesting(lanes)) {
+        ExpectTop1MatchesExactArgmax(Table(Backend::kAvx2), body, a, b,
+                                     "lanes=" + std::to_string(lanes));
+      } else if (dim == 1) {
+        std::printf("note: skipped the %zu-lane top1_cosine body: this CPU "
+                    "lacks it\n",
+                    lanes);
+      }
+    }
   }
 }
 

@@ -794,6 +794,13 @@ TEST(ObservabilityBenchTest, HeartbeatLinesAndWindowedJsonFromCvRun) {
   ASSERT_NE(gauges->Find("heartbeat/fold"), nullptr);
   ASSERT_NE(gauges->Find("mem/sampled_peak_rss_mb"), nullptr);
   EXPECT_GT(gauges->Find("mem/sampled_peak_rss_mb")->number(), 0.0);
+  // The kernel backend and its decision lanes (16, 8 or 0).
+  ASSERT_NE(gauges->Find("kernels/backend"), nullptr);
+  const json::Value* lanes = gauges->Find("kernels/decision_lanes");
+  ASSERT_NE(lanes, nullptr);
+  EXPECT_TRUE(lanes->number() == 0 || lanes->number() == 8 ||
+              lanes->number() == 16)
+      << lanes->number();
 }
 
 }  // namespace

@@ -271,6 +271,11 @@ TEST(ServeTest, BatchedSessionBitIdenticalToLocalExactTopK) {
     ASSERT_NE(gauges->Find(key), nullptr) << key;
     EXPECT_GT(gauges->Find(key)->number(), 0.0) << key;
   }
+  const json::Value* lanes = gauges->Find("kernels/decision_lanes");
+  ASSERT_NE(lanes, nullptr);
+  EXPECT_TRUE(lanes->number() == 0 || lanes->number() == 8 ||
+              lanes->number() == 16)
+      << lanes->number();
   const json::Value* histograms = doc.Find("histograms");
   ASSERT_NE(histograms, nullptr);
   ASSERT_NE(histograms->Find("serve/batch_size"), nullptr);
